@@ -97,10 +97,6 @@ func (t *DedupTable) PtrBits() uint64 {
 }
 
 // set maps a value to its set index; inlines into every Find probe.
-//
-//pdede:inline
-//pdede:noalloc
-//pdede:nobce
 func (t *DedupTable) set(v uint64) int {
 	return int(addr.Mix64(v) & t.setMask)
 }
@@ -113,8 +109,6 @@ func (t *DedupTable) set(v uint64) int {
 // sets*ways = len construction invariant.
 //
 //pdede:hot
-//pdede:noalloc
-//pdede:nobce
 func (t *DedupTable) Find(v uint64) (int, bool) {
 	s := t.set(v)
 	base := s * t.ways
@@ -178,9 +172,6 @@ func (t *DedupTable) FindOrInsert(v uint64) (ptr int, evicted bool) {
 // full-format Lookup and predictFrom, where it inlines.
 //
 //pdede:hot
-//pdede:inline
-//pdede:noalloc
-//pdede:nobce
 func (t *DedupTable) Get(ptr int) (uint64, bool) {
 	if ptr < 0 || ptr >= len(t.vals) || ptr >= len(t.valid) || !t.valid[ptr] {
 		return 0, false

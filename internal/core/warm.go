@@ -50,9 +50,6 @@ const (
 // per-record replay log. It is immutable once WarmupContext returns —
 // design runs only ever Clone the structures — so one WarmState may be
 // shared by any number of concurrent NewWarmSession/RunWarmContext calls.
-// The frozen analyzer enforces that immutability at compile time.
-//
-//pdede:frozen
 type WarmState struct {
 	base    Config // the canonical config the warmup ran under (BTB nil)
 	name    string

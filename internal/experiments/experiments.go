@@ -77,7 +77,7 @@ func (r *Runner) CharacterizeSuite() ([]AppChar, error) {
 				errs[i] = fmt.Errorf("app %s: %w", apps[i].Name, ctx.Err())
 				return
 			}
-			//pdede:blocking-ok releasing a held semaphore slot from a buffered channel never blocks
+			// Releasing a held semaphore slot from a buffered channel never blocks.
 			defer func() { <-sem }()
 			c, err := r.characterizeApp(apps[i])
 			if err != nil {

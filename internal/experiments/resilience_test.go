@@ -73,6 +73,10 @@ func TestKeepGoingIsolatesPanicAndTimeout(t *testing.T) {
 	opts := tinyOpts(cat)
 	opts.KeepGoing = true
 	opts.AppTimeout = 300 * time.Millisecond
+	// AppTimeout starts when an app is admitted, not when it gets a pool
+	// worker. One worker per app keeps tiny-1 from waiting out its deadline
+	// in the queue behind tiny-2's looping warm pass.
+	opts.Workers = len(cat)
 	opts.BuildTrace = func(app workload.Config, total uint64) (trace.Source, error) {
 		src, err := buildSource(app, total)
 		if err != nil {

@@ -317,14 +317,12 @@ func newPool(workers int) *pool {
 // backpressure is the pool's contract: workers drain jobs until close, so
 // the send always completes.
 func (p *pool) submit(f func()) {
-	//pdede:blocking-ok backpressure by design; workers drain jobs until close
 	p.jobs <- f
 }
 
 // run executes f on a worker and waits for it to finish.
 func (p *pool) run(f func()) {
 	done := make(chan struct{})
-	//pdede:blocking-ok backpressure by design; workers drain jobs until close
 	p.jobs <- func() { defer close(done); f() }
 	<-done
 }
@@ -494,7 +492,7 @@ func (r *Runner) RunContext(ctx context.Context, designs []Design) (*Suite, erro
 				mu.Unlock()
 				return
 			}
-			//pdede:blocking-ok releasing a held semaphore slot from a buffered channel never blocks
+			// Releasing a held semaphore slot from a buffered channel never blocks.
 			defer func() { <-appSem }()
 
 			res := r.runApp(runCtx, workers, apps[i], designs, ckpt)
@@ -707,7 +705,7 @@ func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Con
 			outs[k].res, outs[k].err = r.runOne(ctx, app, tr, pending[k], warm)
 		})
 	}
-	//pdede:blocking-ok bounded: every submitted job runs and runOne returns promptly on ctx cancellation
+	// Bounded: every submitted job runs and runOne returns promptly on ctx cancellation.
 	wg.Wait()
 
 	var firstErr error

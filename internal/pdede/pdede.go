@@ -325,16 +325,11 @@ func (p *PDede) Name() string { return p.name }
 func (p *PDede) Config() Config { return p.cfg }
 
 // narrow reports whether way w holds narrow (same-page-only) entries.
-//
-//pdede:inline
-//pdede:noalloc
 func (p *PDede) narrow(w int) bool { return w >= p.halfWays }
 
 // Lookup implements btb.TargetPredictor (§4.4.1).
 //
 //pdede:hot
-//pdede:noalloc
-//pdede:nobce
 func (p *PDede) Lookup(pc addr.VA) btb.Lookup {
 	set, tag := addr.IndexTag(pc, p.indexBits, btb.TagBits)
 	p.memoPC, p.memoSet, p.memoTag, p.memoWay, p.memoOK = pc, set, tag, -1, true
@@ -401,7 +396,6 @@ func (p *PDede) Lookup(pc addr.VA) btb.Lookup {
 // Update implements btb.TargetPredictor (§4.4.2).
 //
 //pdede:hot
-//pdede:noalloc
 func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 	if !br.Taken {
 		return
@@ -513,8 +507,6 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 // otherwise. The memo is consumed either way: the caller mutates the set.
 //
 //pdede:hot
-//pdede:noalloc
-//pdede:nobce
 func (p *PDede) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 	if p.memoOK && p.memoPC == pc {
 		p.memoOK = false
@@ -540,8 +532,6 @@ func (p *PDede) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 // predictFrom reconstructs the target an entry currently encodes.
 //
 //pdede:hot
-//pdede:noalloc
-//pdede:nobce
 func (p *PDede) predictFrom(e *entry, pc addr.VA) (addr.VA, bool) {
 	if e.delta {
 		return pc.WithOffset(addr.PageOffset(e.offset)), true

@@ -43,15 +43,9 @@ func NewBimodal(entries int) (*Bimodal, error) {
 func (b *Bimodal) Name() string { return "bimodal" }
 
 // Predict is on the per-branch hot path and must stay a leaf call.
-//
-//pdede:inline
-//pdede:noalloc
 func (b *Bimodal) Predict(pc addr.VA) bool { return b.predictMixed(addr.Mix64(uint64(pc) >> 1)) }
 
 // Update trains on every resolved branch.
-//
-//pdede:inline
-//pdede:noalloc
 func (b *Bimodal) Update(pc addr.VA, taken bool) {
 	b.updateMixed(addr.Mix64(uint64(pc)>>1), taken)
 }
@@ -116,18 +110,12 @@ func NewGShare(entries int, histBits uint) (*GShare, error) {
 func (g *GShare) Name() string { return "gshare" }
 
 // idx folds the global history into the mixed PC index.
-//
-//pdede:inline
-//pdede:noalloc
 func (g *GShare) idx(pc addr.VA) int {
 	h := g.ghist & ((1 << g.histBits) - 1)
 	return int((addr.Mix64(uint64(pc)>>1) ^ h) & g.mask)
 }
 
 // Predict is on the per-branch hot path and must stay a leaf call.
-//
-//pdede:inline
-//pdede:noalloc
 func (g *GShare) Predict(pc addr.VA) bool { return g.ctr[g.idx(pc)] >= 2 }
 
 func (g *GShare) Update(pc addr.VA, taken bool) {

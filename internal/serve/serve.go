@@ -44,10 +44,8 @@ import (
 
 // Config parameterizes a Server. The zero value of every optional field
 // selects a sensible default (see New); Design is required. Once New has
-// normalized its copy, the snapshot the Server holds never changes — the
-// frozen analyzer enforces that no handler writes through it.
-//
-//pdede:frozen
+// normalized its copy, the snapshot the Server holds never changes: no
+// handler writes through it.
 type Config struct {
 	// Design builds each tenant's BTB and optionally adjusts the core
 	// configuration (the experiments registry supplies these; the design

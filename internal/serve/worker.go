@@ -23,7 +23,7 @@ type job struct {
 func (s *Server) worker(q chan job) {
 	defer s.workers.Done()
 	for jb := range q {
-		//pdede:blocking-ok reply is buffered(1) and receives exactly one send
+		// Reply is buffered(1) and receives exactly one send.
 		jb.reply <- jb.t.apply(s, jb.seq, jb.recs)
 	}
 }

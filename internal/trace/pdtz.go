@@ -207,10 +207,7 @@ type zblock struct {
 // read I/O up front and decoding streams pages in on demand. It implements
 // Source; every Open returns an independent BlockReader over the shared
 // bytes, so concurrent readers (the parallel suite runner's cells) need no
-// locking. The frozen analyzer enforces that the parsed index never changes
-// under those readers.
-//
-//pdede:frozen
+// locking. The parsed index never changes under those readers.
 type Pdtz struct {
 	data    []byte
 	name    string
@@ -323,7 +320,6 @@ func OpenPdtz(path string) (*Pdtz, error) {
 		}
 		return nil, fmt.Errorf("pdtz: %s: %w", path, err)
 	}
-	//pdede:frozen-ok still constructing: ParsePdtz's result has not escaped yet
 	z.unmap = unmap
 	return z, nil
 }
@@ -359,9 +355,7 @@ func (z *Pdtz) OpenBlocks(first, last int) (*BlockReader, error) {
 }
 
 // Close releases the mapping, if any. The Pdtz must not be used afterwards,
-// so the teardown writes below are exempt from the frozen contract.
-//
-//pdede:frozen-ok
+// so the teardown writes below never race a reader.
 func (z *Pdtz) Close() error {
 	z.data = nil
 	z.blocks = nil
@@ -397,7 +391,7 @@ type BlockReader struct {
 //
 // Kept out of line: inlined into NextBatch, the fmt boxing of its
 // arguments becomes heap-escape sites inside the batch decode loop's
-// body, breaking that function's //pdede:noalloc contract and bloating
+// body, breaking that function's zero-allocation contract and bloating
 // its frame for a path only corrupt inputs reach.
 //
 //go:noinline
@@ -447,8 +441,6 @@ func (r *BlockReader) nextBlock() error {
 // The decode loop — including the branchless varint fast path — must not
 // allocate; error construction is outlined (corrupt, nextBlock) to keep
 // every heap-escape site off this body.
-//
-//pdede:noalloc
 func (r *BlockReader) NextBatch(buf []isa.Branch) (int, error) {
 	n := 0
 	for n < len(buf) {
@@ -641,9 +633,6 @@ func (r *BlockReader) NextBatch(buf []isa.Branch) (int, error) {
 // state machine as NextBatch. The one-record buffer must stay on the
 // stack (NextBatch's buf parameter does not escape) and the constant
 // index needs no bounds check.
-//
-//pdede:noalloc
-//pdede:nobce
 func (r *BlockReader) Next() (isa.Branch, error) {
 	var one [1]isa.Branch
 	n, err := r.NextBatch(one[:])
