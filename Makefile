@@ -17,13 +17,6 @@ COVERPROFILE ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/pdede-coverage.out
 # runs; the nightly workflow runs it at FUZZTIME=30s.
 FUZZTIME ?= 15s
 
-# Benchmark-and-regression harness (cmd/pdede-bench): BENCH_BASELINE is the
-# committed reference report, BENCH_TOLERANCE the allowed per-design
-# records/sec loss, BENCH_OUT where the fresh report lands.
-BENCH_BASELINE ?= BENCH_PR10.json
-BENCH_TOLERANCE ?= 8%
-BENCH_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/pdede-bench.json
-
 # Pinned third-party tool versions, shared with CI. @latest would make lint
 # results drift between a contributor's machine and the CI runner.
 STATICCHECK_VERSION ?= 2025.1.2
@@ -48,8 +41,11 @@ CHECK_DEEP_WORKERS ?= $(shell nproc 2>/dev/null || echo 4)
 build:
 	$(GO) build ./...
 
+# The benchmark (layerbench/) is a nested module that `./...` does not
+# reach; test it too so an internal API change cannot break it unnoticed.
 test: build
 	$(GO) test ./...
+	$(GO) -C layerbench test ./...
 
 vet:
 	$(GO) vet ./...
@@ -109,14 +105,12 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' \
 		|| { echo "cover: FAIL — below $(COVER_MIN)%"; exit 1; }
 
-# Throughput benchmark: run the fixed (designs × apps × models) matrix —
-# plus the suite runner's worker-scaling curve — and compare against the
-# committed baseline, failing on regressions beyond BENCH_TOLERANCE. To
-# refresh the baseline after an intentional perf change:
-#   make bench BENCH_OUT=BENCH_PR10.json BENCH_TOLERANCE=99%
-# then review and commit the new report and point BENCH_BASELINE at it.
-bench: build
-	$(GO) run ./cmd/pdede-bench -q -scaling -o $(BENCH_OUT) -baseline $(BENCH_BASELINE) -tolerance $(BENCH_TOLERANCE)
+# The repository's benchmark (layerbench/, declared in BENCHMARK.json): every
+# workload once, end to end. There is no committed baseline; a comparison
+# runs both commits itself, on one host, and sets the two result sets side
+# by side with `bash layerbench/run.sh -agree a.jsonl b.jsonl`.
+bench:
+	bash layerbench/run.sh -workload all
 
 # Acceptance-scale chaos run against pdede-serve: SERVE_LOAD_TENANTS
 # synthetic tenants with stalling/truncating uploads and one mid-run

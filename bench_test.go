@@ -153,6 +153,25 @@ func BenchmarkCoreSimulation(b *testing.B) {
 	b.ReportMetric(float64(tr.Instructions()), "instrs/op")
 }
 
+func BenchmarkCoreSimulationPipeline(b *testing.B) {
+	app := workload.Default()
+	app.StaticBranches = 8000
+	_, tr, err := workload.Build(app, 500_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := pdedesim.DefaultSimOptions()
+	opts.WarmupInstrs = 0
+	opts.UsePipelineModel = true
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pdedesim.SimulateTrace(app, tr, pdedesim.PDedeMultiEntry(), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Instructions()), "instrs/op")
+}
+
 // BenchmarkCoreSimulationAudit guards the cost of the invariant-audit hook:
 // the "off" case must track BenchmarkCoreSimulation (a disabled audit is one
 // integer compare per record), and the "every-4096" case shows what

@@ -154,7 +154,7 @@ func (*Unaudited) Name() string { return "u" }
 		analyzer: "atomicwrite",
 		files: map[string]string{
 			"go.mod": "module seed\n\ngo 1.22\n",
-			"internal/perf/perf.go": `package perf
+			"internal/experiments/persist.go": `package experiments
 
 import "os"
 

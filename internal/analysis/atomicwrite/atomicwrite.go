@@ -9,8 +9,8 @@
 // flush, at which point -resume refuses a corrupt checkpoint and hours of
 // suite progress are gone.
 //
-// In the persistence packages (internal/experiments, internal/perf) the
-// analyzer flags calls to:
+// In the persistence packages (internal/experiments, internal/serve) and the
+// cmd mains that write result files, the analyzer flags calls to:
 //
 //   - os.Create / os.WriteFile
 //   - os.OpenFile with an O_CREATE flag
@@ -35,10 +35,8 @@ import (
 // reports, including the cmd mains that write result files directly.
 var Scope = []string{
 	"internal/experiments",
-	"internal/perf",
 	"internal/serve",
 	"cmd/pdede-analyze",
-	"cmd/pdede-bench",
 	"cmd/pdede-experiments",
 	"cmd/pdede-serve",
 	"cmd/pdede-sim",

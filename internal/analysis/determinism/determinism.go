@@ -56,10 +56,8 @@ var SimScope = []string{
 var ReportScope = []string{
 	"internal/metrics",
 	"internal/experiments",
-	"internal/perf",
 	"internal/serve",
 	"cmd/pdede-analyze",
-	"cmd/pdede-bench",
 	"cmd/pdede-experiments",
 	"cmd/pdede-serve",
 	"cmd/pdede-sim",

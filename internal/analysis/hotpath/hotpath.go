@@ -8,7 +8,7 @@
 // (a defer, a closure, an append, passing a concrete value to an
 // interface parameter) silently reintroduces per-branch allocations or
 // dynamic dispatch and costs double-digit percentages of records/sec,
-// which the pdede-bench gate only notices after the fact.
+// which the benchmark (layerbench) only notices after the fact.
 //
 // Marking a function with the `//pdede:hot` directive in its doc comment
 // makes those edits compile-time errors of the lint suite. Inside a hot
