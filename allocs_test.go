@@ -9,9 +9,11 @@ package pdedesim_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/btb"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/pdede"
 	"repro/internal/predictor"
@@ -168,6 +170,30 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				t.Errorf("%s: %v allocs per %d-record run, want 0", tc.name, got, allocChunk)
 			}
 		})
+	}
+}
+
+// TestRunContextAllocsIndependentOfLength: core.RunContext allocates its
+// session and its two-stage ring once per run, so a trace four times as
+// long costs no extra allocations.
+func TestRunContextAllocsIndependentOfLength(t *testing.T) {
+	const n = 3 << 12 // three of RunContext's record batches
+	recs := benchBranches(200_000)
+	if len(recs) < 4*n {
+		t.Fatalf("trace has %d records, need %d", len(recs), 4*n)
+	}
+	pd := warmPDede(t, recs)
+	cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd}
+	allocs := func(m int) float64 {
+		src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
+		return testing.AllocsPerRun(allocRuns, func() {
+			if _, err := core.RunContext(context.Background(), cfg, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(n), allocs(4*n); short != long {
+		t.Errorf("RunContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
 	}
 }
 

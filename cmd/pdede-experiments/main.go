@@ -26,6 +26,9 @@
 // SIGINT/SIGTERM cancel the run context: in-flight apps stop at the next
 // loop check and everything already completed is in the checkpoint.
 // Failures exit non-zero even when the report was written.
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
+// run for `go tool pprof`.
 package main
 
 import (
@@ -41,16 +44,17 @@ import (
 	"time"
 
 	pdedesim "repro"
+	"repro/internal/profile"
 )
 
 func main() {
 	// All the work happens in run so its deferred cleanups (signal stop,
-	// report-file close) execute before the process exits; os.Exit here
-	// would otherwise skip them.
+	// report-file close, profile flush) execute before the process exits;
+	// os.Exit here would otherwise skip them.
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		run     = flag.String("run", "", "experiment id, comma-separated list, or 'all'")
 		list    = flag.Bool("list", false, "list experiments and exit")
@@ -72,8 +76,20 @@ func run() int {
 		diffCheck = flag.Bool("check", false, "run the differential oracle over an ingested trace (-trace) for every diff-roster design")
 		traceIn   = flag.String("trace", "", "trace file for -check (pdt, pdtz, champsim, perf; optionally .gz)")
 		traceFrom = flag.String("from", "auto", "trace container format for -trace: auto, pdt, pdtz, champsim, perf")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			code = fail(err)
+		}
+	}()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

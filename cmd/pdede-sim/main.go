@@ -6,6 +6,7 @@
 //	pdede-sim -app Server-oltp-primary -designs baseline,pdede-me
 //	pdede-sim -list                      # list catalog applications
 //	pdede-sim -app Browser-imaging -designs all -instrs 5000000
+//	pdede-sim -app Server-oltp-primary -cpuprofile cpu.pprof  # go tool pprof cpu.pprof
 //
 // Designs: baseline, baseline-8k, dedup, pdede, pdede-mt, pdede-me,
 // shotgun, twolevel, perfect, all.
@@ -23,9 +24,16 @@ import (
 	"syscall"
 
 	pdedesim "repro"
+	"repro/internal/profile"
 )
 
 func main() {
+	// All the work happens in run so its deferred cleanups (signal stop,
+	// profile flush) execute before the process exits.
+	os.Exit(run())
+}
+
+func run() (code int) {
 	var (
 		appName = flag.String("app", "Server-oltp-primary", "catalog application name")
 		appFile = flag.String("app-file", "", "JSON application config (overrides -app)")
@@ -35,8 +43,20 @@ func main() {
 		list    = flag.Bool("list", false, "list catalog applications and exit")
 		perfDir = flag.Bool("perfect-direction", false, "use a perfect direction predictor (§5.5)")
 		check   = flag.Bool("check", false, "differential-check each design against its reference oracle instead of simulating")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			code = fail(err)
+		}
+	}()
 
 	// SIGINT/SIGTERM cancel the simulation context; the run loop notices
 	// within a few thousand records and the command exits non-zero.
@@ -49,18 +69,17 @@ func main() {
 		for _, a := range apps {
 			fmt.Printf("%-36s %-8s %6d static branches\n", a.Name, a.Category, a.StaticBranches)
 		}
-		return
+		return 0
 	}
 
 	var app pdedesim.App
-	var err error
 	if *appFile != "" {
 		app, err = pdedesim.LoadApp(*appFile)
 	} else {
 		app, err = pdedesim.AppByName(*appName)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	opts := pdedesim.DefaultSimOptions()
 	opts.TotalInstrs = *instrs
@@ -87,22 +106,21 @@ func main() {
 		for _, d := range strings.Split(*designs, ",") {
 			d = strings.TrimSpace(d)
 			if _, ok := available[d]; !ok {
-				fatal(fmt.Errorf("unknown design %q (have: %s)", d, strings.Join(order, ", ")))
+				return fail(fmt.Errorf("unknown design %q (have: %s)", d, strings.Join(order, ", ")))
 			}
 			picked = append(picked, d)
 		}
 	}
 
 	if *check {
-		runCheck(ctx, app, available, picked, *instrs)
-		return
+		return runCheck(ctx, app, available, picked, *instrs)
 	}
 
 	fmt.Printf("app %s (%s, %d static branches), %d instrs (%d warmup)\n\n",
 		app.Name, app.Category, app.StaticBranches, *instrs, *warmup)
 	tr, err := pdedesim.BuildTrace(app, opts.TotalInstrs)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var base *pdedesim.Result
@@ -112,9 +130,9 @@ func main() {
 		res, err := pdedesim.SimulateTraceContext(ctx, app, tr, available[name], opts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				fatal(errors.New("interrupted"))
+				return fail(errors.New("interrupted"))
 			}
-			fatal(fmt.Errorf("%s: %w", name, err))
+			return fail(fmt.Errorf("%s: %w", name, err))
 		}
 		vs := "-"
 		if base == nil {
@@ -126,22 +144,23 @@ func main() {
 			name, res.IPC(), res.BTBMPKI(), res.DirMPKI(),
 			100*res.FrontendStallFrac(), 100*res.BTBResteerShareOfStalls(), vs)
 	}
+	return 0
 }
 
 // runCheck drives each picked design and its matching unbounded oracle in
 // lockstep over the app's trace, printing the divergence breakdown. Legal
 // divergences (capacity, aliasing, hysteresis) are informational; a semantic
 // divergence or an audit failure exits non-zero.
-func runCheck(ctx context.Context, app pdedesim.App, available map[string]func() (pdedesim.TargetPredictor, error), picked []string, instrs uint64) {
+func runCheck(ctx context.Context, app pdedesim.App, available map[string]func() (pdedesim.TargetPredictor, error), picked []string, instrs uint64) int {
 	fmt.Printf("differential check: app %s, %d instrs\n\n", app.Name, instrs)
 	failed := false
 	for _, name := range picked {
 		rep, err := pdedesim.CheckDesign(ctx, app, available[name], instrs, pdedesim.DiffOptions{})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				fatal(errors.New("interrupted"))
+				return fail(errors.New("interrupted"))
 			}
-			fatal(fmt.Errorf("%s: %w", name, err))
+			return fail(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Printf("%-12s %s\n", name, rep.Summary())
 		if err := rep.Err(); err != nil {
@@ -150,12 +169,13 @@ func runCheck(ctx context.Context, app pdedesim.App, available map[string]func()
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("\nall designs clean: every divergence classified as a legal capacity/aliasing effect")
+	return 0
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "pdede-sim:", err)
-	os.Exit(1)
+	return 1
 }

@@ -3,12 +3,13 @@ package core
 import (
 	"repro/internal/btb"
 	"repro/internal/isa"
-	"repro/internal/predictor"
 )
 
-// bpu bundles the branch-prediction unit state shared by both core models
-// (the analytic runahead model in sim.go and the event-timestamped pipeline
-// in pipeline.go): direction predictor, BTB, RAS and optional ITTAGE.
+// bpu is the design-private half of the branch-prediction unit shared by
+// both core models (the analytic runahead model in sim.go and the
+// event-timestamped pipeline in pipeline.go): the BTB and the optional
+// ITTAGE. The direction predictor and the RAS belong to the frontend half
+// (frontend.go), whose outcome arrives as a warmRec.
 //
 // Predictions and updates happen in trace order at prediction time. Real
 // hardware trains the BTB speculatively as soon as targets resolve (§2:
@@ -16,8 +17,6 @@ import (
 // collapsing predict/update into one step models that with instant repair.
 type bpu struct {
 	cfg *Config
-	dir predictor.Direction
-	ras *predictor.RAS
 }
 
 // prediction is the outcome of one branch's pass through the BPU.
@@ -32,17 +31,19 @@ type prediction struct {
 	kind    int
 }
 
-// predict runs the full per-branch BPU flow: probe the right structure,
-// predict the direction, classify the resteer, then train everything.
-func (u *bpu) predict(b isa.Branch) prediction {
+// resolve completes one branch's pass through the BPU given its frontend
+// outcome rec: probe the right target structure (the RAS result arrives in
+// rec), take the direction rec recorded, classify the resteer, then train
+// the BTB and ITTAGE.
+func (u *bpu) resolve(b isa.Branch, rec warmRec) prediction {
 	p := &u.cfg.Params
 	out := prediction{usesBTB: true, dirPred: true}
 
 	switch {
 	case b.Kind.IsReturn() && !u.cfg.StoreReturnsInBTB:
 		out.usesBTB = false
-		if t, ok := u.ras.Pop(); ok {
-			out.look = btb.Lookup{Hit: true, Target: t}
+		if rec.flags&warmRASHit != 0 {
+			out.look = btb.Lookup{Hit: true, Target: rec.rasTarget}
 		}
 	case b.Kind.IsIndirect() && u.cfg.ITTAGE != nil:
 		out.usesBTB = false
@@ -54,11 +55,10 @@ func (u *bpu) predict(b isa.Branch) prediction {
 	}
 
 	if b.Kind.IsConditional() {
-		out.dirPred = u.dir.Predict(b.PC)
+		out.dirPred = rec.flags&warmDirPred != 0
 		if u.cfg.PerfectDirection {
 			out.dirPred = b.Taken
 		}
-		u.dir.Update(b.PC, b.Taken)
 	}
 
 	targetCorrect := out.look.Hit && out.look.Target == b.Target
@@ -85,9 +85,6 @@ func (u *bpu) predict(b isa.Branch) prediction {
 	}
 	if u.cfg.ITTAGE != nil {
 		u.cfg.ITTAGE.Observe(b.Taken)
-	}
-	if !u.cfg.StoreReturnsInBTB && b.Kind.IsCall() {
-		u.ras.Push(b.Fallthrough())
 	}
 	return out
 }

@@ -7,9 +7,7 @@ import (
 	"io"
 
 	"repro/internal/btb"
-	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
@@ -51,30 +49,17 @@ func RunPipelineContext(ctx context.Context, cfg Config, src trace.Source) (*Res
 	if cfg.BackendCPI <= 0 {
 		return nil, fmt.Errorf("core: BackendCPI must be positive")
 	}
-	dir := cfg.Direction
-	if dir == nil {
-		var err error
-		dir, err = predictor.NewTAGE(predictor.DefaultTAGEConfig())
-		if err != nil {
-			return nil, err
-		}
-	}
-	ic, err := cache.New(cfg.Params.ICacheBytes, cfg.Params.ICacheWays, cfg.Params.ICacheLineBytes)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := cache.New(cfg.Params.L2Bytes, cfg.Params.L2Ways, cfg.Params.ICacheLineBytes)
+	fe, err := newFrontend(&cfg.Params, cfg.Direction, !cfg.StoreReturnsInBTB)
 	if err != nil {
 		return nil, err
 	}
 
 	p := &pipeline{
 		cfg: cfg,
-		ic:  ic,
-		l2:  l2,
+		fe:  fe,
 		res: &Result{App: src.Name(), Design: cfg.BTB.Name() + "+pipe"},
 	}
-	p.bpu = &bpu{cfg: &p.cfg, dir: dir, ras: predictor.NewRAS(cfg.Params.RASEntries)}
+	p.bpu.cfg = &p.cfg
 	p.effCPI = cfg.BackendCPI
 	if min := 1 / float64(cfg.Params.RetireWidth); p.effCPI < min {
 		p.effCPI = min
@@ -131,9 +116,8 @@ loop:
 
 type pipeline struct {
 	cfg    Config
-	bpu    *bpu
-	ic     *cache.Cache
-	l2     *cache.Cache
+	bpu    bpu
+	fe     frontend
 	res    *Result
 	effCPI float64
 
@@ -178,7 +162,8 @@ func (p *pipeline) step(b isa.Branch) {
 		issueAt = floor
 	}
 
-	pr := p.bpu.predict(b)
+	rec := p.fe.step(b)
+	pr := p.bpu.resolve(b, rec)
 	extraUsed := b.Taken && pr.look.Hit && pr.look.ExtraLatency > 0 &&
 		(pr.dirPred || !b.Kind.IsConditional())
 	if extraUsed {
@@ -196,12 +181,11 @@ func (p *pipeline) step(b isa.Branch) {
 
 	// --- ICache: prefetch fires at FTQ insert; fills are pipelined, from
 	// the L2 when it holds the line and from beyond otherwise.
-	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
-	misses := p.ic.AccessRange(blockStart, b.PC)
+	misses := int(rec.misses)
 	ready := issueAt
 	if misses > 0 {
 		fillLat := float64(par.ICacheMissLat)
-		if l2miss := p.l2.AccessRange(blockStart, b.PC); l2miss > 0 {
+		if rec.flags&warmL2Miss != 0 {
 			fillLat = float64(par.L2MissLat)
 		}
 		ready += fillLat + 2*float64(misses-1)
@@ -257,7 +241,7 @@ func (p *pipeline) step(b isa.Branch) {
 			}
 			line := uint64(par.ICacheLineBytes)
 			for i := 0; i < par.WrongPathLines; i++ {
-				p.ic.Access(start.Add(uint64(i) * line))
+				p.fe.ic.Access(start.Add(uint64(i) * line))
 			}
 		}
 	}

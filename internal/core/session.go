@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/btb"
-	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/predictor"
+	"repro/internal/trace"
 )
 
 // Session is an incrementally-driven simulation: the same core model that
@@ -20,7 +22,12 @@ import (
 // callers serialize Apply/Audit/Snapshot themselves (the serve package
 // holds its per-tenant lock around them).
 type Session struct {
-	sim       *sim
+	// sim is held by value, so the back half's per-record state shares one
+	// large allocation with records and never a cache line with the small
+	// frontend objects (RAS, caches, TAGE) that drainTwoStage's producer
+	// writes at the same time; such a line shared between the two cores
+	// costs the two-stage drain most of its gain.
+	sim       sim
 	auditable btb.Auditable
 	records   uint64
 	name      string
@@ -43,32 +50,16 @@ func NewSession(cfg Config, name string) (*Session, error) {
 	if cfg.UsePipeline {
 		return nil, fmt.Errorf("core: the pipeline model cannot run incrementally (use RunPipelineContext)")
 	}
-	dir := cfg.Direction
-	if dir == nil {
-		var err error
-		dir, err = predictor.NewTAGE(predictor.DefaultTAGEConfig())
-		if err != nil {
-			return nil, err
-		}
-	}
-	ic, err := cache.New(cfg.Params.ICacheBytes, cfg.Params.ICacheWays, cfg.Params.ICacheLineBytes)
+	fe, err := newFrontend(&cfg.Params, cfg.Direction, !cfg.StoreReturnsInBTB)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := cache.New(cfg.Params.L2Bytes, cfg.Params.L2Ways, cfg.Params.ICacheLineBytes)
-	if err != nil {
-		return nil, err
-	}
-	ras := predictor.NewRAS(cfg.Params.RASEntries)
 
-	s := &sim{
-		cfg:  cfg,
-		bpu:  &bpu{dir: dir, ras: ras},
-		ic:   ic,
-		l2:   l2,
-		res:  &Result{App: name, Design: cfg.BTB.Name()},
-		lead: 0,
-	}
+	se := &Session{name: name}
+	s := &se.sim
+	s.cfg = cfg
+	s.fe = fe
+	s.res = &Result{App: name, Design: cfg.BTB.Name()}
 	s.bpu.cfg = &s.cfg
 	s.effCPI = cfg.BackendCPI
 	if min := 1 / float64(cfg.Params.RetireWidth); s.effCPI < min {
@@ -76,7 +67,6 @@ func NewSession(cfg Config, name string) (*Session, error) {
 	}
 	initProduceTab(&s.produceTab, cfg.Params.FetchWidth)
 
-	se := &Session{sim: s, name: name}
 	if cfg.AuditEvery != 0 {
 		se.auditable, _ = cfg.BTB.(btb.Auditable)
 	}
@@ -89,10 +79,24 @@ func NewSession(cfg Config, name string) (*Session, error) {
 // (done = true, remaining records untouched) or a periodic audit failed
 // (err != nil; the structure is corrupt and the Session must be discarded).
 func (se *Session) Apply(batch []isa.Branch) (n int, done bool, err error) {
-	s := se.sim
+	return se.apply(batch, nil)
+}
+
+// apply is Apply given the batch's frontend outcomes: recs[i] is batch[i]'s
+// when the frontend half has already run, and recs nil runs each record's
+// frontend half just before its back half, so wrong-path pollution reaches
+// the ICache before the next record's fetch.
+func (se *Session) apply(batch []isa.Branch, recs []warmRec) (n int, done bool, err error) {
+	s := &se.sim
 	every := s.cfg.AuditEvery
 	for i := range batch {
-		s.step(batch[i])
+		var rec warmRec
+		if recs == nil {
+			rec = s.fe.step(batch[i])
+		} else {
+			rec = recs[i]
+		}
+		s.backStep(batch[i], rec)
 		se.records++
 		if se.auditable != nil && se.records%every == 0 {
 			if err := auditBTB(se.auditable, se.records-1); err != nil {
@@ -104,6 +108,40 @@ func (se *Session) Apply(batch []isa.Branch) (n int, done bool, err error) {
 		}
 	}
 	return len(batch), false, nil
+}
+
+// drain applies r's records until the trace ends, the measure window fills
+// or ctx is done, one record at a time through both halves (Apply).
+func (se *Session) drain(ctx context.Context, r trace.Reader) error {
+	batch := make([]isa.Branch, recordBatch)
+	for {
+		if err := checkCtx(ctx, se.records); err != nil {
+			return err
+		}
+		n, rerr := trace.ReadBatch(r, batch)
+		if end, err := se.applyBatch(batch[:n], nil, rerr); end {
+			return err
+		}
+	}
+}
+
+// applyBatch applies one batch a drain read, with the error the reader
+// returned after it (recs as for apply), and reports whether the drain
+// ends there and with what error. The batch's records are applied before
+// a reader error is returned.
+func (se *Session) applyBatch(batch []isa.Branch, recs []warmRec, rerr error) (end bool, err error) {
+	_, done, err := se.apply(batch, recs)
+	switch {
+	case err != nil:
+		return true, err
+	case done:
+		return true, nil
+	case errors.Is(rerr, io.EOF):
+		return true, nil
+	case rerr != nil:
+		return true, rerr
+	}
+	return len(batch) == 0, nil
 }
 
 // Audit runs the deep invariant check immediately (when the BTB supports it

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/btb"
-	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/predictor"
 	"repro/internal/trace"
@@ -95,35 +92,25 @@ func Run(cfg Config, src trace.Source) (*Result, error) {
 // the context's error instead of running the trace to completion. The
 // simulation itself is a Session drained from src, so batch-streamed
 // (serve) and whole-trace runs share one code path bit-for-bit.
+//
+// Without wrong-path pollution the drain is two-staged (drainTwoStage): a
+// second goroutine decodes the trace and runs the frontend half one batch
+// ahead of the BTB half on the caller's goroutine. Wrong-path fetch writes
+// BTB-dependent lines into the ICache, so WrongPathLines > 0 keeps the
+// serial loop.
 func RunContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
 	se, err := NewSession(cfg, src.Name())
 	if err != nil {
 		return nil, err
 	}
-
 	r := src.Open()
-	batch := make([]isa.Branch, recordBatch)
-	for {
-		if err := checkCtx(ctx, se.Records()); err != nil {
-			return nil, err
-		}
-		n, rerr := trace.ReadBatch(r, batch)
-		_, done, err := se.Apply(batch[:n])
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			return nil, rerr
-		}
-		if n == 0 {
-			break
-		}
+	if cfg.Params.WrongPathLines == 0 {
+		err = se.drainTwoStage(ctx, r)
+	} else {
+		err = se.drain(ctx, r)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := se.Audit(); err != nil {
 		return nil, err
@@ -133,9 +120,8 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (*Result, err
 
 type sim struct {
 	cfg    Config
-	bpu    *bpu
-	ic     *cache.Cache
-	l2     *cache.Cache
+	bpu    bpu
+	fe     frontend
 	res    *Result
 	effCPI float64
 
@@ -152,59 +138,24 @@ type sim struct {
 	refill bool
 }
 
-// step processes one dynamic branch record: the basic block ending in it
-// plus the branch's prediction, resolution and cycle accounting.
-func (s *sim) step(b isa.Branch) {
+// backStep is the design-private half of one record, given its frontend
+// outcome rec: the BPU resolves and trains the BTB/ITTAGE, the measured
+// window counts the record, and the cycle accounting advances the runahead
+// lead and the refill recurrence.
+func (s *sim) backStep(b isa.Branch, rec warmRec) {
+	p := &s.cfg.Params
 	measuring := s.seen >= s.cfg.WarmupInstrs
 	s.seen += uint64(b.BlockLen)
+
+	pr := s.bpu.resolve(b, rec)
+	misses := int(rec.misses)
 	if measuring {
 		s.measured += uint64(b.BlockLen)
-	}
-
-	misses, fillLat, _ := s.fetch(b, measuring)
-
-	// --- Branch prediction unit (lookup, direction, classification,
-	// training) — shared with the pipeline model.
-	pr := s.bpu.predict(b)
-	if measuring {
 		s.bpu.note(s.res, b, pr)
-	}
-
-	s.account(b, pr, misses, fillLat, measuring)
-}
-
-// fetch models instruction fetch for the block [BlockStart, PC]. ICache
-// misses fill from the L2; code that misses there too pays the longer
-// latency. It returns the miss count, the fill latency the first miss pays,
-// and whether the fill came from beyond the L2 (recorded by the shared
-// warmup pass so per-design replay can reproduce the latency without
-// re-simulating the caches).
-func (s *sim) fetch(b isa.Branch, measuring bool) (misses int, fillLat float64, l2miss bool) {
-	p := &s.cfg.Params
-	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
-	misses = s.ic.AccessRange(blockStart, b.PC)
-	fillLat = float64(p.ICacheMissLat)
-	if misses > 0 {
-		if s.l2.AccessRange(blockStart, b.PC) > 0 {
-			fillLat = float64(p.L2MissLat)
-			l2miss = true
-		}
-		if measuring {
-			s.res.ICacheMisses += uint64(misses)
-		}
-	}
-	if measuring {
 		s.res.ICacheAccesses++
+		s.res.ICacheMisses += uint64(misses)
 	}
-	return misses, fillLat, l2miss
-}
 
-// account applies one record's cycle accounting. It is shared verbatim by
-// the cold path (step) and the warm-replay path (replayStep): the lead and
-// refill recurrences must evolve bit-identically in both, so the arithmetic
-// lives in exactly one place.
-func (s *sim) account(b isa.Branch, pr prediction, misses int, fillLat float64, measuring bool) {
-	p := &s.cfg.Params
 	// --- Cycle accounting (runahead/lead model, see package comment).
 	// The BTB's extra lookup cycle is pipelined: back-to-back lookups
 	// overlap, so steady-state supply is unaffected; the latency is exposed
@@ -228,6 +179,11 @@ func (s *sim) account(b isa.Branch, pr prediction, misses int, fillLat float64, 
 	}
 	icacheStall := 0.0
 	if misses > 0 {
+		// A miss fills from the L2, or from beyond it when the L2 missed too.
+		fillLat := float64(p.ICacheMissLat)
+		if rec.flags&warmL2Miss != 0 {
+			fillLat = float64(p.L2MissLat)
+		}
 		icacheStall = fillLat - s.lead
 		if icacheStall < 0 {
 			icacheStall = 0
@@ -295,6 +251,6 @@ func (s *sim) polluteWrongPath(b isa.Branch, look btb.Lookup) {
 	}
 	line := uint64(s.cfg.Params.ICacheLineBytes)
 	for i := 0; i < s.cfg.Params.WrongPathLines; i++ {
-		s.ic.Access(start.Add(uint64(i) * line))
+		s.fe.ic.Access(start.Add(uint64(i) * line))
 	}
 }

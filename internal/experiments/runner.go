@@ -277,7 +277,9 @@ func (s *Suite) Failed() []int {
 
 // PanicError records a panic recovered from one (app, design) run,
 // preserving the panic value and stack so a crash in one predictor is a
-// per-app failure, not a dead process.
+// per-app failure, not a dead process. A panic core.RunContext forwards
+// from its frontend goroutine keeps its value; core writes that
+// goroutine's stack to stderr, and Stack is the cell's own.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -289,8 +291,10 @@ func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 // pool is the shared work-stealing executor: a fixed set of workers
 // draining one unbuffered job queue. Every unit of heavy work in a suite
 // run — trace builds, shared warmup passes, (app, design) simulation
-// cells — is a job, so total CPU concurrency is bounded by the worker
-// count no matter how many apps are in flight. Jobs are leaves: a job
+// cells — is a job, so the jobs running at once are bounded by the worker
+// count no matter how many apps are in flight. A cold cell's core.RunContext
+// runs its frontend half on a second goroutine (DESIGN.md §5.2), so CPU
+// concurrency can reach twice the worker count. Jobs are leaves: a job
 // never submits another job and waits on it, so the pool cannot deadlock.
 // With one worker, jobs run strictly in submission order, which makes the
 // Workers=1 schedule the sequential runner's schedule exactly.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -12,14 +13,54 @@ import (
 // with, scaled down for test speed. AuditEvery is set so the periodic
 // btb.Auditable deep checks run on both paths at the same cadence — the
 // differential-oracle guarantee that a warm clone is not just numerically
-// but structurally equivalent to a cold run.
+// but structurally equivalent to a cold run. The measure window ends before
+// the trace does, at an odd instruction count, so the cold side's two-stage
+// core.RunContext stops mid-batch while its frontend goroutine is reading
+// ahead; the warm side's measured window runs the serial loop.
 func warmCloneBase(app workload.Config) core.Config {
 	return core.Config{
-		Params:       core.Icelake(),
-		BackendCPI:   app.BackendCPI,
-		WarmupInstrs: 40_000,
-		AuditEvery:   2048,
+		Params:        core.Icelake(),
+		BackendCPI:    app.BackendCPI,
+		WarmupInstrs:  40_000,
+		MeasureInstrs: 50_001,
+		AuditEvery:    2048,
 	}
+}
+
+// warmCloneApps returns the traces the oracle tests replay: a synthetic
+// program (name, seed) and a catalog application, each long enough for the
+// measure window to fill before the trace ends.
+func warmCloneApps(t *testing.T, name string, seed uint64) []appTrace {
+	t.Helper()
+	synth := workload.Default()
+	synth.Name = name
+	synth.Seed = seed
+	catalog, ok := workload.CatalogByName("Server-oltp-primary")
+	if !ok {
+		t.Fatal("no catalog app Server-oltp-primary")
+	}
+	var out []appTrace
+	for i, app := range []workload.Config{synth, catalog} {
+		_, src, err := workload.Build(app, 120_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := appTrace{app: app, src: src}
+		if i > 0 {
+			at.prefix = app.Name + "/"
+		}
+		out = append(out, at)
+	}
+	return out
+}
+
+// appTrace is one app the oracle tests replay. prefix starts the names of
+// its subtests: empty for the synthetic program, whose subtests are named
+// by design alone.
+type appTrace struct {
+	app    workload.Config
+	src    *trace.Memory
+	prefix string
 }
 
 // TestWarmCloneOracle is the warm-state acceptance test: for every design
@@ -28,56 +69,50 @@ func warmCloneBase(app workload.Config) core.Config {
 // bit-identical to a cold run of the same (app, design) pair. Result holds
 // only value fields, so == is a full bit comparison.
 func TestWarmCloneOracle(t *testing.T) {
-	app := workload.Default()
-	app.Name = "warm-oracle"
-	app.Seed = 41
-	_, src, err := workload.Build(app, 120_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := warmCloneBase(app)
-	warm, err := core.WarmupContext(context.Background(), base, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, at := range warmCloneApps(t, "warm-oracle", 41) {
+		app, src := at.app, at.src
+		base := warmCloneBase(app)
+		warm, err := core.WarmupContext(context.Background(), base, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range DiffDesigns() {
+			t.Run(at.prefix+d.Name, func(t *testing.T) {
+				coldCfg := base
+				tp, err := d.New()
+				if err != nil {
+					t.Fatal(err)
+				}
+				coldCfg.BTB = tp
+				if d.Mod != nil {
+					d.Mod(&coldCfg)
+				}
+				cold, err := core.RunContext(context.Background(), coldCfg, src)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	for _, d := range DiffDesigns() {
-		d := d
-		t.Run(d.Name, func(t *testing.T) {
-			coldCfg := base
-			tp, err := d.New()
-			if err != nil {
-				t.Fatal(err)
-			}
-			coldCfg.BTB = tp
-			if d.Mod != nil {
-				d.Mod(&coldCfg)
-			}
-			cold, err := core.RunContext(context.Background(), coldCfg, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			warmCfg := base
-			tp2, err := d.New()
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmCfg.BTB = tp2
-			if d.Mod != nil {
-				d.Mod(&warmCfg)
-			}
-			if err := warm.Compatible(warmCfg); err != nil {
-				t.Fatalf("registry design incompatible with warm clone: %v", err)
-			}
-			got, err := core.RunWarmContext(context.Background(), warmCfg, src, warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *got != *cold {
-				t.Errorf("warm-clone run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
-			}
-		})
+				warmCfg := base
+				tp2, err := d.New()
+				if err != nil {
+					t.Fatal(err)
+				}
+				warmCfg.BTB = tp2
+				if d.Mod != nil {
+					d.Mod(&warmCfg)
+				}
+				if err := warm.Compatible(warmCfg); err != nil {
+					t.Fatalf("registry design incompatible with warm clone: %v", err)
+				}
+				got, err := core.RunWarmContext(context.Background(), warmCfg, src, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got != *cold {
+					t.Errorf("warm-clone run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
+				}
+			})
+		}
 	}
 }
 
@@ -87,55 +122,51 @@ func TestWarmCloneOracle(t *testing.T) {
 // warmup-visible shared-state traffic is design-independent), while a
 // parameter change or the pipeline model must be refused.
 func TestWarmCloneOracleModdedConfigs(t *testing.T) {
-	app := workload.Default()
-	app.Name = "warm-modded"
-	app.Seed = 43
-	_, src, err := workload.Build(app, 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := warmCloneBase(app)
-	warm, err := core.WarmupContext(context.Background(), base, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	compatible := []Design{
 		WithPerfectDirection(BaselineDesign("perfect-dir", 1024)),
 		WithITTAGE(BaselineDesign("ittage", 1024)),
 		WithReturnsInBTB(BaselineDesign("returns-in-btb", 1024)),
 	}
-	for _, d := range compatible {
-		d := d
-		t.Run(d.Name, func(t *testing.T) {
-			mk := func() core.Config {
-				cfg := base
-				tp, err := d.New()
+	var base core.Config
+	var warm *core.WarmState
+	for _, at := range warmCloneApps(t, "warm-modded", 43) {
+		app, src := at.app, at.src
+		base = warmCloneBase(app)
+		var err error
+		if warm, err = core.WarmupContext(context.Background(), base, src); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range compatible {
+			t.Run(at.prefix+d.Name, func(t *testing.T) {
+				mk := func() core.Config {
+					cfg := base
+					tp, err := d.New()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.BTB = tp
+					if d.Mod != nil {
+						d.Mod(&cfg)
+					}
+					return cfg
+				}
+				cold, err := core.RunContext(context.Background(), mk(), src)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.BTB = tp
-				if d.Mod != nil {
-					d.Mod(&cfg)
+				warmCfg := mk()
+				if err := warm.Compatible(warmCfg); err != nil {
+					t.Fatalf("expected compatible, got %v", err)
 				}
-				return cfg
-			}
-			cold, err := core.RunContext(context.Background(), mk(), src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmCfg := mk()
-			if err := warm.Compatible(warmCfg); err != nil {
-				t.Fatalf("expected compatible, got %v", err)
-			}
-			got, err := core.RunWarmContext(context.Background(), warmCfg, src, warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *got != *cold {
-				t.Errorf("warm-clone run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
-			}
-		})
+				got, err := core.RunWarmContext(context.Background(), warmCfg, src, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got != *cold {
+					t.Errorf("warm-clone run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
+				}
+			})
+		}
 	}
 
 	t.Run("incompatible", func(t *testing.T) {
