@@ -197,6 +197,35 @@ func TestRunContextAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
+// TestRunWarmContextAllocsIndependentOfLength: the frontend log a warm run
+// replays is allocated once per app, by core.WarmupContext; the run itself
+// allocates its session and one record batch, so a trace four times as
+// long costs it no extra allocations.
+func TestRunWarmContextAllocsIndependentOfLength(t *testing.T) {
+	const n = 3 << 12 // three of RunWarmContext's record batches
+	recs := benchBranches(200_000)
+	if len(recs) < 4*n {
+		t.Fatalf("trace has %d records, need %d", len(recs), 4*n)
+	}
+	pd := warmPDede(t, recs)
+	cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd, WarmupInstrs: 1000}
+	allocs := func(m int) float64 {
+		src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
+		warm, err := core.WarmupContext(context.Background(), cfg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(allocRuns, func() {
+			if _, err := core.RunWarmContext(context.Background(), cfg, src, warm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(n), allocs(4*n); short != long {
+		t.Errorf("RunWarmContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
+	}
+}
+
 // warmPDede returns a PDede-ME that has already seen the whole trace once.
 func warmPDede(t *testing.T, recs []isa.Branch) *pdede.PDede {
 	t.Helper()

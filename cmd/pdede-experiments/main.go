@@ -13,10 +13,11 @@
 //	    -checkpoint fig10.ckpt
 //
 // Sweeps run on a worker pool: -workers (default: the CPU count) bounds
-// concurrent trace builds, shared warmup passes and (app, design)
+// concurrent trace builds, shared frontend passes and (app, design)
 // simulation cells. Results are bit-identical for every worker count, and
-// the per-app warmup prefix is simulated once and cloned into every
-// compatible design (disable with -cold-start to cross-check).
+// the per-app frontend (caches, direction predictor, RAS) is simulated
+// once and replayed by every compatible design (disable with -cold-start
+// to cross-check).
 //
 // -keep-going records per-app failures (reported on stderr) instead of
 // aborting the sweep; -timeout bounds each app's wall clock; -retries
@@ -69,8 +70,8 @@ func run() (code int) {
 		backoff = flag.Duration("retry-backoff", 100*time.Millisecond, "base retry delay (doubles per attempt, capped, jittered)")
 		keep    = flag.Bool("keep-going", false, "record per-app failures and keep sweeping instead of aborting on the first")
 		check   = flag.Bool("selfcheck", false, "deep-audit every design's internal invariants every few thousand records (slower; fails on the first violation)")
-		workers = flag.Int("workers", runtime.NumCPU(), "worker pool size for trace builds, warmup passes and (app, design) simulation cells; results are bit-identical for every value")
-		cold    = flag.Bool("cold-start", false, "disable the shared per-app warmup pass; every cell re-simulates its warmup from cold (slower, bit-identical)")
+		workers = flag.Int("workers", runtime.NumCPU(), "worker pool size for trace builds, shared frontend passes and (app, design) simulation cells; results are bit-identical for every value")
+		cold    = flag.Bool("cold-start", false, "disable the shared per-app frontend pass; every cell simulates its whole trace from cold (slower, bit-identical)")
 		verbose = flag.Bool("v", false, "log per-app progress to stderr")
 
 		diffCheck = flag.Bool("check", false, "run the differential oracle over an ingested trace (-trace) for every diff-roster design")

@@ -104,9 +104,8 @@ func (c *Cache) Access(a addr.VA) bool {
 }
 
 // Clone returns a deep copy of the cache: the clone and the receiver share
-// no mutable state, so each can be driven independently afterwards. The
-// warm-state fan-out in internal/core clones one warmed instruction cache
-// per design under test.
+// no mutable state, so each can be driven independently afterwards, as a
+// snapshot of warmed state must be.
 func (c *Cache) Clone() *Cache {
 	d := *c
 	d.tags = append([]uint64(nil), c.tags...)

@@ -13,7 +13,7 @@ import (
 // outcomes, never a BTB prediction. frontend.step drives them and condenses
 // what they said into a warmRec; sim.backStep consumes that record with the
 // design-private structures (BTB, ITTAGE) and the cycle accounting. The
-// shared warmup pass, the warm replay, Session.Apply and the two-stage
+// shared frontend pass, the warm replay, Session.Apply and the two-stage
 // RunContext all compose these same two halves.
 
 // warmRec is one record's frontend outcome: everything the back half needs

@@ -38,6 +38,20 @@ type Session struct {
 // checkpoint), so cfg.UsePipeline is rejected here; name labels the
 // Result's App field (RunContext passes the trace's name).
 func NewSession(cfg Config, name string) (*Session, error) {
+	se, err := newSession(cfg, name)
+	if err != nil {
+		return nil, err
+	}
+	se.sim.fe, err = newFrontend(&cfg.Params, cfg.Direction, !cfg.StoreReturnsInBTB)
+	if err != nil {
+		return nil, err
+	}
+	return se, nil
+}
+
+// newSession is NewSession without the frontend structures, for a session
+// whose frontend outcomes all come from a WarmState's log.
+func newSession(cfg Config, name string) (*Session, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,15 +64,10 @@ func NewSession(cfg Config, name string) (*Session, error) {
 	if cfg.UsePipeline {
 		return nil, fmt.Errorf("core: the pipeline model cannot run incrementally (use RunPipelineContext)")
 	}
-	fe, err := newFrontend(&cfg.Params, cfg.Direction, !cfg.StoreReturnsInBTB)
-	if err != nil {
-		return nil, err
-	}
 
 	se := &Session{name: name}
 	s := &se.sim
 	s.cfg = cfg
-	s.fe = fe
 	s.res = &Result{App: name, Design: cfg.BTB.Name()}
 	s.bpu.cfg = &s.cfg
 	s.effCPI = cfg.BackendCPI

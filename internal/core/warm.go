@@ -3,70 +3,63 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/isa"
-	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
-// Warm-state cloning: the suite runner evaluates many BTB designs against
-// one application trace, and every cold run repeats the same warmup work.
-// During warmup (WrongPathLines == 0, the default core), the frontend half
-// of the core (frontend.go) — the instruction caches, the direction
-// predictor and the RAS — evolves identically for every design: it sees
-// only trace-order addresses and outcomes, never a BTB prediction. Only the
-// BTB itself, the optional ITTAGE, and the frontend lead/refill recurrence
-// are design-private.
+// The shared frontend pass: the suite runner evaluates many BTB designs
+// against one application trace. Without wrong-path pollution
+// (WrongPathLines == 0, the default core), the frontend half of the core
+// (frontend.go) — the instruction caches, the direction predictor and the
+// RAS — evolves identically for every design: it sees only trace-order
+// addresses and outcomes, never a BTB prediction. Only the BTB itself, the
+// optional ITTAGE, and the frontend lead/refill recurrence are
+// design-private.
 //
-// WarmupContext therefore runs the frontend half over the warmup prefix
-// exactly once per app, logging each record's warmRec. Each design then
-// clones the warmed structures (Clone on cache.Cache, predictor.TAGE,
-// predictor.RAS) and replays the prefix through the back half alone.
+// WarmupContext therefore runs the frontend half exactly once per app,
+// over every record a cold run of the base config applies, and logs each
+// record's warmRec. RunWarmContext replays that log through the back half
+// alone, so a design's run builds no ICache, L2, TAGE or RAS.
 // RunWarmContext is proven bit-identical to RunContext by
 // TestWarmCloneOracle, which compares whole Result structs for every
 // registered design; the periodic btb.Auditable deep checks run at the same
 // record cadence on both paths.
 
-// WarmState is the warmed, design-independent frontend state of one
-// (app, warmup-window) pair: caches, direction predictor, RAS, and the
-// per-record replay log. It is immutable once WarmupContext returns —
-// design runs only ever Clone the structures — so one WarmState may be
-// shared by any number of concurrent NewWarmSession/RunWarmContext calls.
+// WarmState is the design-independent frontend half of one (app, window)
+// pair: the frontend outcome of every record a cold run of the base config
+// applies (16 bytes per record). It is immutable once WarmupContext
+// returns, so one WarmState may be shared by any number of concurrent
+// RunWarmContext calls.
 type WarmState struct {
-	base Config // the canonical config the warmup ran under (BTB nil)
-	name string
-	seen uint64 // instructions covered by the warm prefix
-
-	fe  frontend        // the frontend after the prefix (always with a RAS)
-	dir *predictor.TAGE // fe.dir, typed for Clone
-
-	recs []warmRec // one per record of the prefix
+	base Config    // the canonical config the pass ran under (BTB nil)
+	recs []warmRec // recs[i] is record i's frontend outcome
 }
 
-// Records returns how many trace records the warm prefix covers.
+// Records returns how many trace records the log covers.
 func (w *WarmState) Records() uint64 { return uint64(len(w.recs)) }
-
-// Instructions returns how many instructions the warm prefix covers.
-func (w *WarmState) Instructions() uint64 { return w.seen }
 
 // WarmupCompatible reports whether a design config cfg can be served from a
 // warm state built with base (nil = compatible). Incompatible designs — a
 // custom direction predictor, different core parameters, the pipeline
-// model, or wrong-path pollution (which feeds BTB predictions back into the
-// shared caches) — must fall back to a cold RunContext.
+// model, wrong-path pollution (which feeds BTB predictions back into the
+// shared caches) or another window — must fall back to a cold RunContext.
 func WarmupCompatible(base, cfg Config) error {
 	switch {
 	case cfg.UsePipeline:
-		return errors.New("core: warm clone unavailable: pipeline model replays whole traces")
+		return errors.New("core: warm state unavailable: pipeline model replays whole traces")
 	case cfg.Direction != nil:
-		return errors.New("core: warm clone unavailable: custom direction predictor")
+		return errors.New("core: warm state unavailable: custom direction predictor")
 	case cfg.Params != base.Params:
-		return errors.New("core: warm clone unavailable: core parameters differ from the warmed core")
+		return errors.New("core: warm state unavailable: core parameters differ from the warmed core")
 	case cfg.Params.WrongPathLines != 0:
-		return errors.New("core: warm clone unavailable: wrong-path pollution couples the caches to the BTB")
+		return errors.New("core: warm state unavailable: wrong-path pollution couples the caches to the BTB")
 	case cfg.WarmupInstrs != base.WarmupInstrs:
-		return errors.New("core: warm clone unavailable: warmup window differs")
+		return errors.New("core: warm state unavailable: warmup window differs")
+	case cfg.MeasureInstrs != base.MeasureInstrs:
+		return errors.New("core: warm state unavailable: measure window differs")
 	}
 	return nil
 }
@@ -74,12 +67,14 @@ func WarmupCompatible(base, cfg Config) error {
 // Compatible reports whether cfg can run from this warm state.
 func (w *WarmState) Compatible(cfg Config) error { return WarmupCompatible(w.base, cfg) }
 
-// WarmupContext runs the shared warmup pass: it drives the frontend half
-// over cfg's warmup prefix of src and records the per-record replay log.
-// cfg is the canonical base configuration (cfg.BTB is ignored and may be
-// nil); designs later check themselves against it with Compatible. The
-// pass always keeps a RAS, so designs that use one and designs that route
-// returns through the BTB can share it.
+// WarmupContext runs the shared frontend pass: it drives the frontend half
+// over src up to the record a cold run of cfg ends on — the one that fills
+// cfg.MeasureInstrs, or the trace's last — and logs every record's
+// outcome. cfg is the canonical base configuration (cfg.BTB is ignored and
+// may be nil); designs later check themselves against it with Compatible.
+// The pass always keeps a RAS, so designs that use one and designs that
+// route returns through the BTB can share it. Only ctx bounds the pass over
+// an endless reader.
 func WarmupContext(ctx context.Context, cfg Config, src trace.Source) (*WarmState, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -88,119 +83,86 @@ func WarmupContext(ctx context.Context, cfg Config, src trace.Source) (*WarmStat
 		return nil, err
 	}
 	if cfg.WarmupInstrs == 0 {
-		return nil, errors.New("core: warm clone unavailable: no warmup window")
+		return nil, errors.New("core: warm state unavailable: no warmup window")
 	}
-	dir, err := predictor.NewTAGE(predictor.DefaultTAGEConfig())
+	fe, err := newFrontend(&cfg.Params, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	fe, err := newFrontend(&cfg.Params, dir, true)
-	if err != nil {
-		return nil, err
-	}
-	w := &WarmState{
-		base: cfg,
-		name: src.Name(),
-		fe:   fe,
-		dir:  dir,
-		recs: make([]warmRec, 0, cfg.WarmupInstrs/4),
-	}
+	w := &WarmState{base: cfg}
 
+	// seen and measured follow backStep's window accounting, so the log
+	// ends on the record where Session.apply reports the window full.
+	var seen, measured uint64
 	r := src.Open()
 	batch := make([]isa.Branch, recordBatch)
-	for w.seen < cfg.WarmupInstrs {
+	for {
 		if err := checkCtx(ctx, w.Records()); err != nil {
 			return nil, err
 		}
 		n, rerr := trace.ReadBatch(r, batch)
-		for i := 0; i < n && w.seen < cfg.WarmupInstrs; i++ {
-			w.recs = append(w.recs, w.fe.step(batch[i]))
-			w.seen += uint64(batch[i].BlockLen)
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
+		for _, b := range batch[:n] {
+			w.recs = append(w.recs, fe.step(b))
+			if seen >= cfg.WarmupInstrs {
+				measured += uint64(b.BlockLen)
 			}
-			return nil, rerr
+			seen += uint64(b.BlockLen)
+			if cfg.MeasureInstrs != 0 && measured >= cfg.MeasureInstrs {
+				return w, nil
+			}
 		}
-		if n == 0 {
-			break
+		switch {
+		case errors.Is(rerr, io.EOF):
+			return w, nil
+		case rerr != nil:
+			return nil, rerr
+		case n == 0:
+			return w, nil
 		}
 	}
-	return w, nil
 }
 
-// NewWarmSession builds a Session whose frontend (caches, direction
-// predictor, RAS) is deep-cloned from w instead of cold-constructed. The
-// caller must then feed the warm prefix through the replay path
-// (RunWarmContext does both) before applying measured records.
-func NewWarmSession(cfg Config, w *WarmState, name string) (*Session, error) {
+// RunWarmContext is RunContext given the shared frontend pass w: records
+// come from the cell's own reader of src (fault-injection and
+// stream-position semantics stay per-reader), their frontend outcomes from
+// w's log, and only the back half runs, serially (DESIGN.md §5.2). The
+// result is bit-identical to RunContext with the same cfg and src (see
+// WarmupCompatible for when a design must fall back). A reader that yields
+// a record past the end of the log fails the run: the log cannot vouch
+// for it.
+func RunWarmContext(ctx context.Context, cfg Config, src trace.Source, w *WarmState) (*Result, error) {
 	if err := w.Compatible(cfg); err != nil {
 		return nil, err
 	}
-	se, err := NewSession(cfg, name)
+	se, err := newSession(cfg, src.Name())
 	if err != nil {
 		return nil, err
 	}
-	fe := &se.sim.fe
-	fe.ic = w.fe.ic.Clone()
-	fe.l2 = w.fe.l2.Clone()
-	fe.dir = w.dir.Clone()
-	if fe.ras != nil {
-		fe.ras = w.fe.ras.Clone()
-	}
-	return se, nil
-}
-
-// replayWarm feeds the warm prefix through the back half alone: it reads
-// the same records the shared pass consumed from the session's own reader
-// (fault-injection and stream-position semantics stay per-reader) and
-// pairs each with its logged frontend outcome. The periodic audit cadence
-// matches Session.Apply record for record. eof reports a trace that ended
-// inside the warm prefix (the caller then skips the measured phase, exactly
-// as a cold run of the same truncated trace would).
-func (se *Session) replayWarm(ctx context.Context, w *WarmState, r trace.Reader) (eof bool, err error) {
-	batch := make([]isa.Branch, recordBatch)
-	for idx := 0; idx < len(w.recs); {
-		if err := checkCtx(ctx, se.records); err != nil {
-			return false, err
-		}
-		n, rerr := trace.ReadBatch(r, batch[:min(len(w.recs)-idx, recordBatch)])
-		// Every prefix record is a warmup record, so the measure window
-		// cannot fill here: the replay ends early only at the end of the
-		// trace or on an error.
-		if end, err := se.applyBatch(batch[:n], w.recs[idx:], rerr); end {
-			return err == nil, err
-		}
-		idx += n
-	}
-	return false, nil
-}
-
-// RunWarmContext is RunContext starting from a warm state: the session's
-// frontend structures are cloned from w, the warm prefix is replayed
-// through the back half alone, and the measured window then runs through
-// the serial Session.Apply loop (drain, not drainTwoStage: pipelining it
-// slowed the suite runner's warm cells, DESIGN.md §5.2). The result is
-// bit-identical to RunContext with the same cfg and src (see
-// WarmupCompatible for when a design must fall back).
-func RunWarmContext(ctx context.Context, cfg Config, src trace.Source, w *WarmState) (*Result, error) {
-	se, err := NewWarmSession(cfg, w, src.Name())
-	if err != nil {
+	if err := se.replay(ctx, src.Open(), w.recs); err != nil {
 		return nil, err
-	}
-	r := src.Open()
-	eof, err := se.replayWarm(ctx, w, r)
-	if err != nil {
-		return nil, err
-	}
-	if !eof {
-		if err := se.drain(ctx, r); err != nil {
-			return nil, err
-		}
 	}
 	if err := se.Audit(); err != nil {
 		return nil, err
 	}
 	return se.Result(), nil
+}
+
+// replay is drain for a session without frontend structures: recs[i] is
+// the frontend outcome of r's i-th record. A record past the end of recs
+// ends the replay with an error, after the records before it are applied.
+func (se *Session) replay(ctx context.Context, r trace.Reader, recs []warmRec) error {
+	batch := make([]isa.Branch, recordBatch)
+	for {
+		if err := checkCtx(ctx, se.records); err != nil {
+			return err
+		}
+		n, rerr := trace.ReadBatch(r, batch)
+		logged := recs[se.records:]
+		if n > len(logged) {
+			n, rerr = len(logged), fmt.Errorf("core: trace runs past the warm log's %d records", len(recs))
+		}
+		if end, err := se.applyBatch(batch[:n], logged, rerr); end {
+			return err
+		}
+	}
 }

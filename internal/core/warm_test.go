@@ -5,16 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/btb"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// TestWarmStateClonesAreIndependent is the Snapshot/Clone deepness
-// property at the session level: driving one warm session to completion
-// must not perturb the parent WarmState or any sibling clone. Runs of the
-// same design minted from the same warm state — before, between and after
-// runs of a different design — must stay bit-identical, and every run's
-// btb.Auditable census must stay clean (a shared slice leaking between
-// clones corrupts replacement state long before it changes headline IPC).
+// TestWarmStateClonesAreIndependent: one WarmState serves every design's
+// run read-only, so driving one warm run to completion must not perturb
+// the shared log or any sibling run. Runs of the same design from the same
+// warm state — before, between and after runs of a different design —
+// must stay bit-identical, and every run's btb.Auditable census must stay
+// clean.
 func TestWarmStateClonesAreIndependent(t *testing.T) {
 	app := workload.Default()
 	app.Name = "warm-indep"
@@ -48,15 +48,15 @@ func TestWarmStateClonesAreIndependent(t *testing.T) {
 	}
 
 	first := run(1024)
-	other := run(4096) // sibling design mutates its own clones only
+	other := run(4096) // sibling design mutates only its own BTB
 	again := run(1024)
 	if *first != *again {
-		t.Errorf("sibling run perturbed a later clone of the same design:\nfirst: %+v\nagain: %+v", first, again)
+		t.Errorf("sibling run perturbed a later run of the same design:\nfirst: %+v\nagain: %+v", first, again)
 	}
 	if *first == *other {
-		t.Error("different designs produced identical results; clone test is vacuous")
+		t.Error("different designs produced identical results; the test is vacuous")
 	}
-	// The parent state itself must still mint pristine clones.
+	// The shared log itself must still serve pristine runs.
 	final := run(1024)
 	if *first != *final {
 		t.Errorf("parent warm state drifted across runs:\nfirst: %+v\nfinal: %+v", first, final)
@@ -94,10 +94,10 @@ func TestWarmupContextRefusals(t *testing.T) {
 	}
 }
 
-// TestWarmStateCoverage pins the warm-prefix boundary: the shared pass
-// consumes exactly the records whose block start lies inside the warmup
-// window (the same measuring test the cold step applies), so replayed
-// sessions cross into the measured window on the same record as cold runs.
+// TestWarmStateCoverage pins the log's extent: the shared pass logs
+// exactly the records a cold run of the base config applies, to the
+// trace's end when the measure window is open-ended, and to the record
+// that fills the window when it fills mid-trace.
 func TestWarmStateCoverage(t *testing.T) {
 	app := workload.Default()
 	app.Name = "warm-bound"
@@ -106,22 +106,132 @@ func TestWarmStateCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Params: Icelake(), BackendCPI: app.BackendCPI, WarmupInstrs: 20_000}
-	warm, err := WarmupContext(context.Background(), base, src)
+	for _, measure := range []uint64{0, 15_001} {
+		base := Config{Params: Icelake(), BackendCPI: app.BackendCPI, WarmupInstrs: 20_000, MeasureInstrs: measure}
+		warm, err := WarmupContext(context.Background(), base, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The records a cold RunContext applies: its session, drained
+		// as RunContext drains it.
+		se, err := NewSession(withBaseline(t, base), src.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := se.drainTwoStage(context.Background(), src.Open()); err != nil {
+			t.Fatal(err)
+		}
+		if warm.Records() != se.Records() {
+			t.Errorf("MeasureInstrs %d: warm log covers %d records, a cold run applies %d", measure, warm.Records(), se.Records())
+		}
+		total := uint64(len(src.Records))
+		if measure == 0 && warm.Records() != total {
+			t.Errorf("open-ended window: warm log covers %d of the trace's %d records", warm.Records(), total)
+		}
+		if measure != 0 && warm.Records() >= total {
+			t.Errorf("MeasureInstrs %d: window did not fill mid-trace (%d of %d records); the case is vacuous", measure, warm.Records(), total)
+		}
+	}
+}
+
+// firstOpenEOF ends its first reader with a clean io.EOF at record eofAt
+// and opens every later reader clean: the shared pass, which opens first,
+// sees a shorter trace than the design runs after it.
+type firstOpenEOF struct {
+	trace.Source
+	eofAt uint64
+	opens int
+}
+
+func (f *firstOpenEOF) Open() trace.Reader {
+	if f.opens++; f.opens == 1 {
+		return &trace.FaultReader{R: f.Source.Open(), Plan: trace.FaultPlan{EOFAt: f.eofAt}}
+	}
+	return f.Source.Open()
+}
+
+// warmEndsTrace returns a trace, a config whose measure window fills well
+// before the trace ends (audits on), and the shared pass over the trace.
+// It also returns two record positions at which to cut a reader short:
+// one inside the warmup prefix and one inside the measure window.
+func warmEndsTrace(t *testing.T) (*trace.Memory, Config, *WarmState, [2]uint64) {
+	t.Helper()
+	app := workload.Default()
+	app.Name = "warm-ends"
+	app.Seed = 71
+	_, src, err := workload.Build(app, 80_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Instructions() < base.WarmupInstrs {
-		t.Errorf("warm prefix covers %d instructions, want >= %d", warm.Instructions(), base.WarmupInstrs)
+	cfg := Config{
+		Params:        Icelake(),
+		BackendCPI:    app.BackendCPI,
+		WarmupInstrs:  20_000,
+		MeasureInstrs: 30_001,
+		AuditEvery:    512,
 	}
-	if warm.Records() == 0 || uint64(len(warm.recs)) != warm.Records() {
-		t.Errorf("replay log records=%d len(recs)=%d", warm.Records(), len(warm.recs))
+	warm, err := WarmupContext(context.Background(), cfg, src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The pass must stop at the boundary, not drain the trace: only the
-	// final record's block may straddle it, so coverage overshoots by less
-	// than one maximal basic block (BlockLen is uint16).
-	if warm.Instructions() >= base.WarmupInstrs+65536 {
-		t.Errorf("warm prefix covers %d instructions for a %d window: pass ran past the boundary",
-			warm.Instructions(), base.WarmupInstrs)
+	// The warmup prefix is about 3.6K records and the window fills at
+	// about 8.6K, of the trace's 13.9K.
+	return src, cfg, warm, [2]uint64{recordBatch/2 + 5, warm.Records() - 100}
+}
+
+// withBaseline returns cfg with a fresh baseline BTB.
+func withBaseline(t *testing.T, cfg Config) Config {
+	t.Helper()
+	tp, err := btb.NewBaseline(btb.BaselineConfig{Entries: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.BTB = tp
+	return cfg
+}
+
+// TestRunWarmContextRecordPastLog: when only the shared pass's reader ends
+// early, a design run's reader yields records the log lacks. The run must
+// fail with an error, never index past the log or return a Result cut at
+// the log's end — inside the warmup prefix and inside the measure window.
+func TestRunWarmContextRecordPastLog(t *testing.T) {
+	m, base, _, cuts := warmEndsTrace(t)
+	for _, eofAt := range cuts {
+		src := &firstOpenEOF{Source: m, eofAt: eofAt}
+		warm, err := WarmupContext(context.Background(), base, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Records() != eofAt-1 {
+			t.Fatalf("EOFAt %d: warm log covers %d records, want %d", eofAt, warm.Records(), eofAt-1)
+		}
+		res, err := RunWarmContext(context.Background(), withBaseline(t, base), src, warm)
+		if err == nil || res != nil {
+			t.Errorf("EOFAt %d: run past the warm log returned (%v, %v), want an error", eofAt, res, err)
+		}
+	}
+}
+
+// TestRunWarmContextReaderEndsEarly: a design run whose own reader ends
+// before the log does stops where a cold run over that reader stops, with
+// the same Result.
+func TestRunWarmContextReaderEndsEarly(t *testing.T) {
+	m, base, warm, cuts := warmEndsTrace(t)
+	for i, eofAt := range cuts {
+		src := &trace.FaultSource{Src: m, Plan: trace.FaultPlan{EOFAt: eofAt}}
+		cold, err := RunContext(context.Background(), withBaseline(t, base), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inWindow := cold.Instructions != 0; inWindow != (i == 1) {
+			t.Fatalf("EOFAt %d: cold run measured %d instructions; the cut is not where the test needs it", eofAt, cold.Instructions)
+		}
+		got, err := RunWarmContext(context.Background(), withBaseline(t, base), src, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *cold {
+			t.Errorf("EOFAt %d: warm run diverges from cold run:\nwarm: %+v\ncold: %+v", eofAt, got, cold)
+		}
 	}
 }

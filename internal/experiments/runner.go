@@ -49,11 +49,13 @@ type Options struct {
 	// old readers keep seeing the effective bound.
 	Parallelism int
 	// ColdStart disables warm-state sharing: every (app, design) cell then
-	// simulates its own warmup prefix from cold, as the sequential runner
-	// always did. By default one warmup pass per app is shared across all
-	// compatible designs (see core.WarmState); the differential oracle and
-	// TestWarmCloneOracle prove the shared path bit-identical, so this
-	// knob exists for cross-checking, not correctness.
+	// simulates its whole trace, frontend and BTB, from cold, as the
+	// sequential runner always did. By default one frontend pass per app
+	// (caches, direction predictor, RAS) is shared across all compatible
+	// designs, which replay only the BTB half (see core.WarmState); the
+	// differential oracle and TestWarmCloneOracle prove the shared path
+	// bit-identical, so this knob exists for cross-checking, not
+	// correctness.
 	ColdStart bool
 
 	// AppTimeout bounds one app's wall-clock budget across all its designs
@@ -430,9 +432,9 @@ func (r *Runner) Run(designs []Design) (*Suite, error) {
 // pool of Opts.Workers workers. Traces are built once per app and reused
 // across that app's design cells, then discarded (the full suite's traces
 // would not fit in memory simultaneously). When the base configuration
-// permits (see core.WarmupCompatible), the warmup prefix is also simulated
-// once per app and cloned into each compatible design's run instead of
-// being re-simulated per cell.
+// permits (see core.WarmupCompatible), the frontend half of the core is
+// also simulated once per app, over the whole run, and each compatible
+// design's cell replays only the BTB half instead of re-simulating both.
 //
 // Every (app, design) pair is an independent job, so designs of one app
 // run concurrently; cell outcomes are reduced in fixed design order, which
@@ -675,7 +677,7 @@ func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Con
 		}
 	}
 
-	// Shared warmup: one pass over the warm prefix, cloned into every
+	// Shared frontend pass: one pass over the run, replayed by every
 	// compatible cell. Only worth a reader open when at least two pending
 	// designs can reuse it — below that the pass is pure overhead, and
 	// skipping it keeps single-design resumes at one open per attempt.
@@ -768,10 +770,10 @@ func (r *Runner) probeWarm(app workload.Config, d *Design) (ok bool) {
 // runOne simulates one (app, design) cell. Panics in the predictor
 // constructor, the core models or the trace reader are recovered here so
 // the returned error is attributed to the design that crashed. Cells
-// whose configuration is compatible with warm clone its pre-simulated
-// shared state and replay the warm prefix through the design-private fast
-// path; everything else — pipeline-model designs, modified parameters, a
-// cold-start run — simulates from scratch.
+// whose configuration is compatible with warm replay the shared frontend
+// pass's log through the design-private back half alone; everything else
+// — pipeline-model designs, modified parameters, a cold-start run —
+// simulates from scratch.
 func (r *Runner) runOne(ctx context.Context, app workload.Config, tr trace.Source, d *Design, warm *core.WarmState) (_ *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {

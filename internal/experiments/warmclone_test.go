@@ -12,11 +12,11 @@ import (
 // warmCloneBase returns the canonical base config the suite runner warms
 // with, scaled down for test speed. AuditEvery is set so the periodic
 // btb.Auditable deep checks run on both paths at the same cadence — the
-// differential-oracle guarantee that a warm clone is not just numerically
+// differential-oracle guarantee that a warm run is not just numerically
 // but structurally equivalent to a cold run. The measure window ends before
 // the trace does, at an odd instruction count, so the cold side's two-stage
 // core.RunContext stops mid-batch while its frontend goroutine is reading
-// ahead; the warm side's measured window runs the serial loop.
+// ahead, and the shared pass's log ends on that same record.
 func warmCloneBase(app workload.Config) core.Config {
 	return core.Config{
 		Params:        core.Icelake(),
@@ -64,10 +64,10 @@ type appTrace struct {
 }
 
 // TestWarmCloneOracle is the warm-state acceptance test: for every design
-// in the registry, a run that clones the shared warm state and replays the
-// prefix through the design-private fast path must produce a Result
-// bit-identical to a cold run of the same (app, design) pair. Result holds
-// only value fields, so == is a full bit comparison.
+// in the registry, a run that replays the shared frontend log through the
+// design-private back half must produce a Result bit-identical to a cold
+// run of the same (app, design) pair. Result holds only value fields, so
+// == is a full bit comparison.
 func TestWarmCloneOracle(t *testing.T) {
 	for _, at := range warmCloneApps(t, "warm-oracle", 41) {
 		app, src := at.app, at.src
@@ -119,8 +119,8 @@ func TestWarmCloneOracle(t *testing.T) {
 // TestWarmCloneOracleModdedConfigs exercises the compatibility gate's edge
 // configs explicitly: perfect direction, ITTAGE-served indirects, and
 // returns routed through the BTB all reuse the shared warm state (their
-// warmup-visible shared-state traffic is design-independent), while a
-// parameter change or the pipeline model must be refused.
+// frontend traffic is design-independent), while a parameter change, the
+// pipeline model or another warmup or measure window must be refused.
 func TestWarmCloneOracleModdedConfigs(t *testing.T) {
 	compatible := []Design{
 		WithPerfectDirection(BaselineDesign("perfect-dir", 1024)),
@@ -184,6 +184,12 @@ func TestWarmCloneOracleModdedConfigs(t *testing.T) {
 		window.WarmupInstrs = base.WarmupInstrs / 2
 		if err := warm.Compatible(window); err == nil {
 			t.Error("different warmup window accepted by warm clone")
+		}
+		// The shared pass logs the records up to base's window end only.
+		measure := base
+		measure.MeasureInstrs = base.MeasureInstrs * 2
+		if err := warm.Compatible(measure); err == nil {
+			t.Error("different measure window accepted by warm clone")
 		}
 	})
 }

@@ -316,10 +316,8 @@ func (t *TAGE) Update(pc addr.VA, taken bool) {
 
 // Clone returns a deep copy of the predictor: every table, counter and
 // folded-history register is duplicated, so the clone and the receiver can
-// be driven independently and will diverge only with their inputs. The
-// warm-state fan-out in internal/core clones one warmed direction predictor
-// per design under test; bit-identity of warm-clone runs versus cold runs
-// depends on this copy being complete.
+// be driven independently and will diverge only with their inputs, as a
+// snapshot of warmed state must be.
 func (t *TAGE) Clone() *TAGE {
 	d := *t // scalars, ghist array, provider/scratch bookkeeping
 	d.base = t.base.Clone()
