@@ -173,6 +173,13 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// coreModels names the two core models the run-level allocation tests
+// cover; the pipeline model's FTQ ring must be allocated once per session.
+var coreModels = []struct {
+	name string
+	pipe bool
+}{{"analytic", false}, {"pipeline", true}}
+
 // TestRunContextAllocsIndependentOfLength: core.RunContext allocates its
 // session and its two-stage ring once per run, so a trace four times as
 // long costs no extra allocations.
@@ -183,17 +190,21 @@ func TestRunContextAllocsIndependentOfLength(t *testing.T) {
 		t.Fatalf("trace has %d records, need %d", len(recs), 4*n)
 	}
 	pd := warmPDede(t, recs)
-	cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd}
-	allocs := func(m int) float64 {
-		src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
-		return testing.AllocsPerRun(allocRuns, func() {
-			if _, err := core.RunContext(context.Background(), cfg, src); err != nil {
-				t.Fatal(err)
+	for _, model := range coreModels {
+		t.Run(model.name, func(t *testing.T) {
+			cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd, UsePipeline: model.pipe}
+			allocs := func(m int) float64 {
+				src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
+				return testing.AllocsPerRun(allocRuns, func() {
+					if _, err := core.RunContext(context.Background(), cfg, src); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if short, long := allocs(n), allocs(4*n); short != long {
+				t.Errorf("RunContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
 			}
 		})
-	}
-	if short, long := allocs(n), allocs(4*n); short != long {
-		t.Errorf("RunContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
 	}
 }
 
@@ -208,21 +219,25 @@ func TestRunWarmContextAllocsIndependentOfLength(t *testing.T) {
 		t.Fatalf("trace has %d records, need %d", len(recs), 4*n)
 	}
 	pd := warmPDede(t, recs)
-	cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd, WarmupInstrs: 1000}
-	allocs := func(m int) float64 {
-		src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
-		warm, err := core.WarmupContext(context.Background(), cfg, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(allocRuns, func() {
-			if _, err := core.RunWarmContext(context.Background(), cfg, src, warm); err != nil {
-				t.Fatal(err)
+	for _, model := range coreModels {
+		t.Run(model.name, func(t *testing.T) {
+			cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd, WarmupInstrs: 1000, UsePipeline: model.pipe}
+			allocs := func(m int) float64 {
+				src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
+				warm, err := core.WarmupContext(context.Background(), cfg, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(allocRuns, func() {
+					if _, err := core.RunWarmContext(context.Background(), cfg, src, warm); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if short, long := allocs(n), allocs(4*n); short != long {
+				t.Errorf("RunWarmContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
 			}
 		})
-	}
-	if short, long := allocs(n), allocs(4*n); short != long {
-		t.Errorf("RunWarmContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
 	}
 }
 

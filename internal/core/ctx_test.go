@@ -52,9 +52,11 @@ func TestRunContextDeadline(t *testing.T) {
 func TestRunPipelineContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunPipelineContext(ctx, ctxTestConfig(t), endlessSource{})
+	cfg := ctxTestConfig(t)
+	cfg.UsePipeline = true
+	res, err := RunContext(ctx, cfg, endlessSource{})
 	if res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunPipelineContext = (%v, %v), want canceled", res, err)
+		t.Fatalf("RunContext under the pipeline model = (%v, %v), want canceled", res, err)
 	}
 }
 

@@ -1,18 +1,10 @@
 package core
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"io"
+import "repro/internal/isa"
 
-	"repro/internal/btb"
-	"repro/internal/isa"
-	"repro/internal/trace"
-)
-
-// RunPipeline is the repository's second, more literal core model: instead
-// of the analytic runahead credit of Run, it tracks explicit per-block
+// The pipeline model is the repository's second, more literal core model.
+// Config.UsePipeline selects it as the session's back half: instead of the
+// analytic runahead credit of backStep, it tracks explicit per-block
 // timestamps through BPU → fetch-target queue → ICache/fetch → decode →
 // retire, like an event-driven pipeline simulation.
 //
@@ -31,122 +23,36 @@ import (
 // emerge from pipeline geometry rather than being charged as constants —
 // cross-validating the analytic model (see pipeline_test.go).
 //
-// Both models share the bpu (identical prediction, training and MPKI
-// accounting); they differ only in how prediction behaviour becomes cycles.
-func RunPipeline(cfg Config, src trace.Source) (*Result, error) {
-	return RunPipelineContext(context.Background(), cfg, src)
-}
+// Both models share the frontend half and the bpu (identical prediction,
+// training and MPKI accounting); they differ only in how prediction
+// behaviour becomes cycles. RunContext, RunWarmContext and Session.Apply
+// serve both.
 
-// RunPipelineContext is RunPipeline with cancellation, mirroring
-// RunContext: the record loop observes ctx every few thousand records.
-func RunPipelineContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BTB == nil {
-		return nil, fmt.Errorf("core: no BTB configured")
-	}
-	if cfg.BackendCPI <= 0 {
-		return nil, fmt.Errorf("core: BackendCPI must be positive")
-	}
-	fe, err := newFrontend(&cfg.Params, cfg.Direction, !cfg.StoreReturnsInBTB)
-	if err != nil {
-		return nil, err
-	}
-
-	p := &pipeline{
-		cfg: cfg,
-		fe:  fe,
-		res: &Result{App: src.Name(), Design: cfg.BTB.Name() + "+pipe"},
-	}
-	p.bpu.cfg = &p.cfg
-	p.effCPI = cfg.BackendCPI
-	if min := 1 / float64(cfg.Params.RetireWidth); p.effCPI < min {
-		p.effCPI = min
-	}
-	p.ftqFree = make([]float64, cfg.Params.FetchQueueEntries)
-	initProduceTab(&p.produceTab, cfg.Params.FetchWidth)
-
-	var auditable btb.Auditable
-	if cfg.AuditEvery != 0 {
-		auditable, _ = cfg.BTB.(btb.Auditable)
-	}
-
-	r := src.Open()
-	records := uint64(0)
-	batch := make([]isa.Branch, recordBatch)
-loop:
-	for {
-		if err := checkCtx(ctx, records); err != nil {
-			return nil, err
-		}
-		n, rerr := trace.ReadBatch(r, batch)
-		for i := 0; i < n; i++ {
-			p.step(batch[i])
-			records++
-			if auditable != nil && records%cfg.AuditEvery == 0 {
-				if err := auditBTB(auditable, records-1); err != nil {
-					return nil, err
-				}
-			}
-			if cfg.MeasureInstrs != 0 && p.measured >= cfg.MeasureInstrs {
-				break loop
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			return nil, rerr
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if auditable != nil {
-		if err := auditBTB(auditable, records); err != nil {
-			return nil, err
-		}
-	}
-	if p.retireEnd > p.measureStart {
-		p.res.Cycles = p.retireEnd - p.measureStart
-	}
-	return p.res, nil
-}
-
-type pipeline struct {
-	cfg    Config
-	bpu    bpu
-	fe     frontend
-	res    *Result
-	effCPI float64
-
-	seen     uint64
-	measured uint64
-
-	// Timestamps, in cycles since simulation start.
+// pipeTiming is the pipeline model's state: its timestamps, in cycles
+// since simulation start, and the FTQ ring, allocated once per session.
+type pipeTiming struct {
 	bpuDone      float64   // last prediction completion
 	fetchEnd     float64   // last fetch completion (fetch is in-order)
 	retireEnd    float64   // last retirement completion
 	ftqFree      []float64 // ring: fetch-completion times of the last N blocks
 	ftqPos       int
-	refill       bool    // next prediction pays the BTB extra latency
 	measureStart float64 // retireEnd when the measured window began
 	started      bool
-	// produceTab caches ceil(len/FetchWidth), as in sim.
-	produceTab [produceTabLen]float64
 }
 
-func (p *pipeline) step(b isa.Branch) {
-	par := &p.cfg.Params
-	measuring := p.seen >= p.cfg.WarmupInstrs
+// pipeStep is backStep under the pipeline model. Result.Cycles is the
+// retirement time since the measured window began, set on every measured
+// record, so a Snapshot mid-window is live.
+func (s *sim) pipeStep(b isa.Branch, rec warmRec) {
+	p, par := s.pipe, &s.cfg.Params
+	measuring := s.seen >= s.cfg.WarmupInstrs
 	if measuring && !p.started {
 		p.started = true
 		p.measureStart = p.retireEnd
 	}
-	p.seen += uint64(b.BlockLen)
+	s.seen += uint64(b.BlockLen)
 	if measuring {
-		p.measured += uint64(b.BlockLen)
+		s.measured += uint64(b.BlockLen)
 	}
 
 	// --- BPU: one block prediction per cycle, gated by FTQ occupancy (the
@@ -162,20 +68,19 @@ func (p *pipeline) step(b isa.Branch) {
 		issueAt = floor
 	}
 
-	rec := p.fe.step(b)
-	pr := p.bpu.resolve(b, rec)
+	pr := s.bpu.resolve(b, rec)
 	extraUsed := b.Taken && pr.look.Hit && pr.look.ExtraLatency > 0 &&
 		(pr.dirPred || !b.Kind.IsConditional())
 	if extraUsed {
-		// See sim.go: the taken-branch lookup recurrence serializes part of
-		// the extra latency; the full latency shows once per refill.
+		// See backStep: the taken-branch lookup recurrence serializes part
+		// of the extra latency; the full latency shows once per refill.
 		issueAt += serializeFrac * float64(pr.look.ExtraLatency)
-		if p.refill {
+		if s.refill {
 			issueAt += (1 - serializeFrac) * float64(pr.look.ExtraLatency)
 		}
 	}
 	if b.Taken || !b.Kind.IsConditional() {
-		p.refill = false
+		s.refill = false
 	}
 	p.bpuDone = issueAt
 
@@ -192,7 +97,7 @@ func (p *pipeline) step(b isa.Branch) {
 	}
 
 	// --- Fetch: in-order, width-limited.
-	fetchCycles := produceCycles(&p.produceTab, b.BlockLen, par.FetchWidth)
+	fetchCycles := produceCycles(&s.produceTab, b.BlockLen, par.FetchWidth)
 	fetchStart := ready
 	if p.fetchEnd > fetchStart {
 		fetchStart = p.fetchEnd
@@ -207,17 +112,18 @@ func (p *pipeline) step(b isa.Branch) {
 	if p.retireEnd > retireStart {
 		retireStart = p.retireEnd
 	}
-	newRetireEnd := retireStart + float64(b.BlockLen)*p.effCPI
+	newRetireEnd := retireStart + float64(b.BlockLen)*s.effCPI
 
 	if measuring {
-		p.bpu.note(p.res, b, pr)
-		p.res.ICacheAccesses++
-		p.res.ICacheMisses += uint64(misses)
-		p.res.BackendCycles += float64(b.BlockLen) * p.effCPI
-		bubble := newRetireEnd - p.retireEnd - float64(b.BlockLen)*p.effCPI
+		s.bpu.note(s.res, b, pr)
+		s.res.ICacheAccesses++
+		s.res.ICacheMisses += uint64(misses)
+		s.res.BackendCycles += float64(b.BlockLen) * s.effCPI
+		bubble := newRetireEnd - p.retireEnd - float64(b.BlockLen)*s.effCPI
 		if bubble > 0 {
-			p.res.FrontendBubbles += bubble
+			s.res.FrontendBubbles += bubble
 		}
+		s.res.Cycles = newRetireEnd - p.measureStart
 	}
 	p.retireEnd = newRetireEnd
 
@@ -233,16 +139,9 @@ func (p *pipeline) step(b isa.Branch) {
 			p.ftqFree[i] = 0
 		}
 		p.ftqPos = 0
-		p.refill = true
+		s.refill = true
 		if par.WrongPathLines > 0 {
-			start := b.Fallthrough()
-			if pr.look.Hit && pr.look.Target != b.NextPC() {
-				start = pr.look.Target
-			}
-			line := uint64(par.ICacheLineBytes)
-			for i := 0; i < par.WrongPathLines; i++ {
-				p.fe.ic.Access(start.Add(uint64(i) * line))
-			}
+			s.polluteWrongPath(b, pr.look)
 		}
 	}
 }

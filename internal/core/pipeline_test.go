@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/btb"
@@ -9,22 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
+// runPipe is runWith under the pipeline model.
 func runPipe(t *testing.T, tp btb.TargetPredictor, tr *trace.Memory, app workload.Config, mod func(*Config)) *Result {
 	t.Helper()
-	cfg := Config{
-		Params:       Icelake(),
-		BackendCPI:   app.BackendCPI,
-		BTB:          tp,
-		WarmupInstrs: 200_000,
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	res, err := RunPipeline(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runWith(t, tp, tr, app, func(c *Config) {
+		c.UsePipeline = true
+		if mod != nil {
+			mod(c)
+		}
+	})
 }
 
 func TestPipelineBasics(t *testing.T) {
@@ -36,6 +30,12 @@ func TestPipelineBasics(t *testing.T) {
 	}
 	if ipc := res.IPC(); ipc <= 0 || ipc > float64(Icelake().RetireWidth) {
 		t.Errorf("IPC = %v out of range", ipc)
+	}
+	// Each measured block moves retirement on by its backend time plus the
+	// bubble before it, so the window's span is their sum: no warmup
+	// cycles may leak into it.
+	if sum := res.BackendCycles + res.FrontendBubbles; math.Abs(res.Cycles-sum) > 1e-6*sum {
+		t.Errorf("Cycles = %v, want BackendCycles + FrontendBubbles = %v", res.Cycles, sum)
 	}
 }
 
@@ -118,11 +118,11 @@ func TestPipelineCrossValidatesAnalytic(t *testing.T) {
 
 func TestPipelineRejectsBadConfig(t *testing.T) {
 	tr, app := testTrace(t, 2000)
-	if _, err := RunPipeline(Config{Params: Icelake(), BackendCPI: app.BackendCPI}, tr); err == nil {
+	if _, err := Run(Config{Params: Icelake(), BackendCPI: app.BackendCPI, UsePipeline: true}, tr); err == nil {
 		t.Error("nil BTB accepted")
 	}
 	b, _ := btb.NewBaseline(btb.BaselineConfig{Entries: 512})
-	if _, err := RunPipeline(Config{Params: Icelake(), BTB: b}, tr); err == nil {
+	if _, err := Run(Config{Params: Icelake(), BTB: b, UsePipeline: true}, tr); err == nil {
 		t.Error("zero CPI accepted")
 	}
 }
@@ -148,5 +148,23 @@ func TestPipelineMeasureWindow(t *testing.T) {
 	})
 	if res.Instructions < 50_000 || res.Instructions > 52_000 {
 		t.Errorf("measured %d instructions", res.Instructions)
+	}
+}
+
+// A trace that ends before the warmup does leaves the measured window
+// empty: both models must report no instructions and no cycles, not the
+// warmup's.
+func TestPipelineWarmupLongerThanTrace(t *testing.T) {
+	tr, app := testTrace(t, 2000)
+	for _, pipe := range []bool{false, true} {
+		b, _ := btb.NewBaseline(btb.BaselineConfig{Entries: 4096})
+		res := runWith(t, b, tr, app, func(c *Config) {
+			c.WarmupInstrs = 10_000_000
+			c.UsePipeline = pipe
+		})
+		if res.Instructions != 0 || res.Cycles != 0 {
+			t.Errorf("pipeline %v: measured %d instructions in %v cycles, want none",
+				pipe, res.Instructions, res.Cycles)
+		}
 	}
 }

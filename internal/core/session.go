@@ -33,10 +33,9 @@ type Session struct {
 	name      string
 }
 
-// NewSession validates cfg and assembles the simulation state. The pipeline
-// model keeps whole-trace replay semantics (event timestamps do not
-// checkpoint), so cfg.UsePipeline is rejected here; name labels the
-// Result's App field (RunContext passes the trace's name).
+// NewSession validates cfg and assembles the simulation state under the
+// core model cfg.UsePipeline selects; name labels the Result's App field
+// (RunContext passes the trace's name).
 func NewSession(cfg Config, name string) (*Session, error) {
 	se, err := newSession(cfg, name)
 	if err != nil {
@@ -61,14 +60,15 @@ func newSession(cfg Config, name string) (*Session, error) {
 	if cfg.BackendCPI <= 0 {
 		return nil, fmt.Errorf("core: BackendCPI must be positive")
 	}
-	if cfg.UsePipeline {
-		return nil, fmt.Errorf("core: the pipeline model cannot run incrementally (use RunPipelineContext)")
-	}
 
 	se := &Session{name: name}
 	s := &se.sim
 	s.cfg = cfg
 	s.res = &Result{App: name, Design: cfg.BTB.Name()}
+	if cfg.UsePipeline {
+		s.pipe = &pipeTiming{ftqFree: make([]float64, cfg.Params.FetchQueueEntries)}
+		s.res.Design += "+pipe"
+	}
 	s.bpu.cfg = &s.cfg
 	s.effCPI = cfg.BackendCPI
 	if min := 1 / float64(cfg.Params.RetireWidth); s.effCPI < min {

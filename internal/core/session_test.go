@@ -12,8 +12,11 @@ import (
 )
 
 // TestSessionMatchesRunContext proves the incremental path is the same
-// simulation: feeding the trace through a Session in ragged batch sizes
-// must reproduce RunContext's result bit-for-bit, including cycle floats.
+// simulation under both core models: feeding the trace through a Session
+// in ragged batch sizes must reproduce RunContext's result bit-for-bit,
+// including cycle floats. A Snapshot inside the measured window must
+// already carry cycles; the pipeline model's are a span of timestamps
+// rather than a sum.
 func TestSessionMatchesRunContext(t *testing.T) {
 	tr, app := testTrace(t, 3000)
 
@@ -24,50 +27,68 @@ func TestSessionMatchesRunContext(t *testing.T) {
 		}
 		return tp
 	}
-	cfg := Config{
-		Params:       Icelake(),
-		BackendCPI:   app.BackendCPI,
-		WarmupInstrs: 100_000,
-	}
+	for _, model := range []struct {
+		name string
+		pipe bool
+	}{{"analytic", false}, {"pipeline", true}} {
+		t.Run(model.name, func(t *testing.T) {
+			cfg := Config{
+				Params:       Icelake(),
+				BackendCPI:   app.BackendCPI,
+				WarmupInstrs: 100_000,
+				UsePipeline:  model.pipe,
+			}
 
-	cfg.BTB = mk()
-	want, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+			cfg.BTB = mk()
+			want, err := Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg.BTB = mk()
-	se, err := NewSession(cfg, tr.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ragged batch sizes exercise every batch-boundary path: single
-	// records, odd chunks, and one large tail.
-	sizes := []int{1, 7, 64, 1, 997, 3, 4096}
-	recs := tr.Records
-	for i, pos := 0, 0; pos < len(recs); i++ {
-		n := sizes[i%len(sizes)]
-		if pos+n > len(recs) {
-			n = len(recs) - pos
-		}
-		applied, done, err := se.Apply(recs[pos : pos+n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			t.Fatal("measure window reported done with MeasureInstrs=0")
-		}
-		if applied != n {
-			t.Fatalf("Apply consumed %d of %d", applied, n)
-		}
-		pos += n
-	}
-	if se.Records() != uint64(len(recs)) {
-		t.Fatalf("Records() = %d, want %d", se.Records(), len(recs))
-	}
-	got := se.Snapshot()
-	if !reflect.DeepEqual(&got, want) {
-		t.Errorf("session result diverged from RunContext:\n got %+v\nwant %+v", &got, want)
+			cfg.BTB = mk()
+			se, err := NewSession(cfg, tr.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Ragged batch sizes exercise every batch-boundary path: single
+			// records, odd chunks, and one large tail.
+			sizes := []int{1, 7, 64, 1, 997, 3, 4096}
+			recs := tr.Records
+			midWindow := 0
+			for i, pos := 0, 0; pos < len(recs); i++ {
+				n := sizes[i%len(sizes)]
+				if pos+n > len(recs) {
+					n = len(recs) - pos
+				}
+				applied, done, err := se.Apply(recs[pos : pos+n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					t.Fatal("measure window reported done with MeasureInstrs=0")
+				}
+				if applied != n {
+					t.Fatalf("Apply consumed %d of %d", applied, n)
+				}
+				pos += n
+				if snap := se.Snapshot(); snap.Instructions != 0 && snap.Instructions != want.Instructions {
+					midWindow++
+					if snap.Cycles <= 0 {
+						t.Fatalf("snapshot after %d measured instructions has Cycles %v", snap.Instructions, snap.Cycles)
+					}
+				}
+			}
+			if midWindow == 0 {
+				t.Fatal("no snapshot fell inside the measured window")
+			}
+			if se.Records() != uint64(len(recs)) {
+				t.Fatalf("Records() = %d, want %d", se.Records(), len(recs))
+			}
+			got := se.Snapshot()
+			if !reflect.DeepEqual(&got, want) {
+				t.Errorf("session result diverged from RunContext:\n got %+v\nwant %+v", &got, want)
+			}
+		})
 	}
 }
 
@@ -101,19 +122,6 @@ func TestSessionMeasureWindow(t *testing.T) {
 	}
 	if got := se.Result().Instructions; got < cfg.MeasureInstrs {
 		t.Errorf("measured %d instructions, want >= %d", got, cfg.MeasureInstrs)
-	}
-}
-
-// TestSessionRejectsPipeline pins the incremental API to the analytic
-// model: the event-timestamped pipeline cannot checkpoint mid-stream.
-func TestSessionRejectsPipeline(t *testing.T) {
-	tp, err := btb.NewBaseline(btb.BaselineConfig{Entries: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Params: Icelake(), BackendCPI: 1, BTB: tp, UsePipeline: true}
-	if _, err := NewSession(cfg, "x"); err == nil {
-		t.Fatal("NewSession accepted UsePipeline")
 	}
 }
 

@@ -55,9 +55,10 @@ type Config struct {
 	// (§5.7). The BTB must be configured to accept returns.
 	StoreReturnsInBTB bool
 
-	// UsePipeline requests the event-timestamped pipeline model
-	// (RunPipeline); harnesses that accept a Config honour it when
-	// dispatching. Run itself ignores the flag.
+	// UsePipeline selects the event-timestamped pipeline model
+	// (pipeline.go) as the back half of every record, instead of the
+	// analytic runahead model. Every entry point honours it, and the
+	// Result's Design gains a "+pipe" suffix.
 	UsePipeline bool
 
 	// WarmupInstrs are executed with all structures live but no statistics
@@ -91,7 +92,8 @@ func Run(cfg Config, src trace.Source) (*Result, error) {
 // few thousand records, so a deadline or cancel ends the simulation with
 // the context's error instead of running the trace to completion. The
 // simulation itself is a Session drained from src, so batch-streamed
-// (serve) and whole-trace runs share one code path bit-for-bit.
+// (serve) and whole-trace runs share one code path bit-for-bit, under
+// either core model.
 //
 // Without wrong-path pollution the drain is two-staged (drainTwoStage): a
 // second goroutine decodes the trace and runs the frontend half one batch
@@ -136,13 +138,21 @@ type sim struct {
 	// pipelined 2-cycle BTB costs throughput nothing in steady state, only
 	// restart latency — §5.4).
 	refill bool
+	// pipe is the pipeline model's timing state; nil runs the analytic
+	// model.
+	pipe *pipeTiming
 }
 
 // backStep is the design-private half of one record, given its frontend
 // outcome rec: the BPU resolves and trains the BTB/ITTAGE, the measured
 // window counts the record, and the cycle accounting advances the runahead
-// lead and the refill recurrence.
+// lead and the refill recurrence. Under the pipeline model, pipeStep
+// takes the record instead.
 func (s *sim) backStep(b isa.Branch, rec warmRec) {
+	if s.pipe != nil {
+		s.pipeStep(b, rec)
+		return
+	}
 	p := &s.cfg.Params
 	measuring := s.seen >= s.cfg.WarmupInstrs
 	s.seen += uint64(b.BlockLen)

@@ -15,9 +15,10 @@ import (
 // (WrongPathLines == 0, the default core), the frontend half of the core
 // (frontend.go) — the instruction caches, the direction predictor and the
 // RAS — evolves identically for every design: it sees only trace-order
-// addresses and outcomes, never a BTB prediction. Only the BTB itself, the
-// optional ITTAGE, and the frontend lead/refill recurrence are
-// design-private.
+// addresses and outcomes, never a BTB prediction, and of the core
+// parameters it reads only the cache geometry and the RAS depth. Only the
+// BTB itself, the optional ITTAGE, and the cycle accounting (either core
+// model, under any FTQ size, width or penalty) are design-private.
 //
 // WarmupContext therefore runs the frontend half exactly once per app,
 // over every record a cold run of the base config applies, and logs each
@@ -42,19 +43,22 @@ type WarmState struct {
 func (w *WarmState) Records() uint64 { return uint64(len(w.recs)) }
 
 // WarmupCompatible reports whether a design config cfg can be served from a
-// warm state built with base (nil = compatible). Incompatible designs — a
-// custom direction predictor, different core parameters, the pipeline
-// model, wrong-path pollution (which feeds BTB predictions back into the
-// shared caches) or another window — must fall back to a cold RunContext.
+// warm state built with base (nil = compatible). The frontend half reads
+// only the ICache and L2 geometry and the RAS depth, so any other core
+// parameter and either core model may differ from base's. Incompatible
+// designs — a custom direction predictor, another frontend geometry,
+// wrong-path pollution (which feeds BTB predictions back into the shared
+// caches) or another window — must fall back to a cold RunContext.
 func WarmupCompatible(base, cfg Config) error {
+	b, c := &base.Params, &cfg.Params
 	switch {
-	case cfg.UsePipeline:
-		return errors.New("core: warm state unavailable: pipeline model replays whole traces")
 	case cfg.Direction != nil:
 		return errors.New("core: warm state unavailable: custom direction predictor")
-	case cfg.Params != base.Params:
-		return errors.New("core: warm state unavailable: core parameters differ from the warmed core")
-	case cfg.Params.WrongPathLines != 0:
+	case c.ICacheBytes != b.ICacheBytes || c.ICacheWays != b.ICacheWays ||
+		c.ICacheLineBytes != b.ICacheLineBytes || c.L2Bytes != b.L2Bytes ||
+		c.L2Ways != b.L2Ways || c.RASEntries != b.RASEntries:
+		return errors.New("core: warm state unavailable: frontend geometry differs from the warmed core")
+	case c.WrongPathLines != 0:
 		return errors.New("core: warm state unavailable: wrong-path pollution couples the caches to the BTB")
 	case cfg.WarmupInstrs != base.WarmupInstrs:
 		return errors.New("core: warm state unavailable: warmup window differs")

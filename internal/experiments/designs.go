@@ -184,6 +184,20 @@ func WithITTAGE(d Design) Design {
 	return d
 }
 
+// WithPipeline wraps a design to run under the event-timestamped pipeline
+// core model instead of the analytic one (ext-models).
+func WithPipeline(d Design) Design {
+	prev := d.Mod
+	d.Name += "+pipe"
+	d.Mod = func(c *core.Config) {
+		if prev != nil {
+			prev(c)
+		}
+		c.UsePipeline = true
+	}
+	return d
+}
+
 // WithReturnsInBTB wraps a design to drop the RAS and store returns in the
 // BTB (§5.7). The predictor must be configured with StoreReturns itself.
 func WithReturnsInBTB(d Design) Design {

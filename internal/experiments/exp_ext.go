@@ -66,22 +66,11 @@ func extModels() Experiment {
 		Title: "Extension: analytic runahead model vs event-timestamped pipeline model",
 		Paper: "internal cross-validation; the paper uses a single in-house cycle-accurate simulator",
 		Run: func(r *Runner, w io.Writer) error {
-			pipeMod := func(d Design) Design {
-				prev := d.Mod
-				d.Name += "+pipe"
-				d.Mod = func(c *core.Config) {
-					if prev != nil {
-						prev(c)
-					}
-					c.UsePipeline = true
-				}
-				return d
-			}
 			designs := []Design{
 				BaselineDesign(NameBaseline, 4096),
 				PDedeDesign(NameMultiEntry, pdede.MultiEntryConfig()),
-				pipeMod(BaselineDesign(NameBaseline, 4096)),
-				pipeMod(PDedeDesign(NameMultiEntry, pdede.MultiEntryConfig())),
+				WithPipeline(BaselineDesign(NameBaseline, 4096)),
+				WithPipeline(PDedeDesign(NameMultiEntry, pdede.MultiEntryConfig())),
 			}
 			suite, err := r.Run(designs)
 			if err != nil {

@@ -770,10 +770,11 @@ func (r *Runner) probeWarm(app workload.Config, d *Design) (ok bool) {
 // runOne simulates one (app, design) cell. Panics in the predictor
 // constructor, the core models or the trace reader are recovered here so
 // the returned error is attributed to the design that crashed. Cells
-// whose configuration is compatible with warm replay the shared frontend
-// pass's log through the design-private back half alone; everything else
-// — pipeline-model designs, modified parameters, a cold-start run —
-// simulates from scratch.
+// whose configuration passes the warm gate, under either core model,
+// replay the shared frontend pass's log through the design-private back
+// half alone; everything else — another frontend geometry or direction
+// predictor, wrong-path pollution, a cold-start run — simulates from
+// scratch.
 func (r *Runner) runOne(ctx context.Context, app workload.Config, tr trace.Source, d *Design, warm *core.WarmState) (_ *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -788,9 +789,6 @@ func (r *Runner) runOne(ctx context.Context, app workload.Config, tr trace.Sourc
 	cfg.BTB = tp
 	if d.Mod != nil {
 		d.Mod(&cfg)
-	}
-	if cfg.UsePipeline {
-		return core.RunPipelineContext(ctx, cfg, tr)
 	}
 	if warm != nil && warm.Compatible(cfg) == nil {
 		return core.RunWarmContext(ctx, cfg, tr, warm)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pdede"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -117,15 +118,26 @@ func TestWarmCloneOracle(t *testing.T) {
 }
 
 // TestWarmCloneOracleModdedConfigs exercises the compatibility gate's edge
-// configs explicitly: perfect direction, ITTAGE-served indirects, and
-// returns routed through the BTB all reuse the shared warm state (their
-// frontend traffic is design-independent), while a parameter change, the
-// pipeline model or another warmup or measure window must be refused.
+// configs explicitly: perfect direction, ITTAGE-served indirects, returns
+// routed through the BTB, other FTQ sizes, a scaled core and the pipeline
+// model all reuse the shared warm state (their frontend traffic is
+// design-independent), while another frontend geometry or another warmup
+// or measure window must be refused.
 func TestWarmCloneOracleModdedConfigs(t *testing.T) {
+	ftq := func(n int) core.Params {
+		p := core.Icelake()
+		p.FetchQueueEntries = n
+		return p
+	}
 	compatible := []Design{
 		WithPerfectDirection(BaselineDesign("perfect-dir", 1024)),
 		WithITTAGE(BaselineDesign("ittage", 1024)),
 		WithReturnsInBTB(BaselineDesign("returns-in-btb", 1024)),
+		WithParams(BaselineDesign("", 1024), "ftq16", ftq(16)),
+		WithParams(PDedeDesign("", pdede.MultiEntryConfig()), "scaled-x2", core.Icelake().Scale(2)),
+		WithPipeline(BaselineDesign("baseline", 1024)),
+		WithPipeline(WithParams(PDedeDesign("", pdede.MultiEntryConfig()), "ftq128", ftq(128))),
+		WithPipeline(WithITTAGE(BaselineDesign("ittage", 1024))),
 	}
 	var base core.Config
 	var warm *core.WarmState
@@ -170,15 +182,21 @@ func TestWarmCloneOracleModdedConfigs(t *testing.T) {
 	}
 
 	t.Run("incompatible", func(t *testing.T) {
-		scaled := base
-		scaled.Params = core.Icelake().Scale(2)
-		if err := warm.Compatible(scaled); err == nil {
-			t.Error("scaled params accepted by warm clone")
+		// The frontend half reads the cache geometry and the RAS depth.
+		icache := base
+		icache.Params.ICacheBytes *= 2
+		if err := warm.Compatible(icache); err == nil {
+			t.Error("different ICache size accepted by warm clone")
 		}
-		pipe := base
-		pipe.UsePipeline = true
-		if err := warm.Compatible(pipe); err == nil {
-			t.Error("pipeline model accepted by warm clone")
+		l2 := base
+		l2.Params.L2Ways /= 2
+		if err := warm.Compatible(l2); err == nil {
+			t.Error("different L2 associativity accepted by warm clone")
+		}
+		ras := base
+		ras.Params.RASEntries = 8
+		if err := warm.Compatible(ras); err == nil {
+			t.Error("different RAS depth accepted by warm clone")
 		}
 		window := base
 		window.WarmupInstrs = base.WarmupInstrs / 2

@@ -169,9 +169,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
-	// A design that cannot build (or that requests the pipeline model,
-	// which cannot run incrementally) should fail at startup, not on the
-	// first tenant's first batch.
+	// A design that cannot build should fail at startup, not on the first
+	// tenant's first batch.
 	if _, err := newTenantSession(&cfg, "probe"); err != nil {
 		return nil, fmt.Errorf("serve: design %q cannot serve: %w", cfg.Design.Name, err)
 	}

@@ -196,8 +196,8 @@ type SimOptions struct {
 	// PerfectDirection enables the §5.5 study.
 	PerfectDirection bool
 	// UsePipelineModel selects the event-timestamped pipeline core model
-	// (core.RunPipeline) instead of the analytic runahead model. The two
-	// share prediction state and cross-validate each other.
+	// (core.Config.UsePipeline) instead of the analytic runahead model. The
+	// two share prediction state and cross-validate each other.
 	UsePipelineModel bool
 	// AuditEvery, when non-zero, deep-checks the design's internal
 	// invariants every N records during simulation and fails the run on the
@@ -249,10 +249,8 @@ func SimulateTraceContext(ctx context.Context, app App, tr *Trace, design func()
 		BTB:              tp,
 		WarmupInstrs:     opts.WarmupInstrs,
 		PerfectDirection: opts.PerfectDirection,
+		UsePipeline:      opts.UsePipelineModel,
 		AuditEvery:       opts.AuditEvery,
-	}
-	if opts.UsePipelineModel {
-		return core.RunPipelineContext(ctx, cfg, tr)
 	}
 	return core.RunContext(ctx, cfg, tr)
 }
