@@ -122,3 +122,14 @@ func TestGoldenFig10(t *testing.T) {
 	recs := runGoldenSuite(t, StandardDesigns())
 	goldenCompare(t, filepath.Join("testdata", "fig10.golden.json"), recs)
 }
+
+// TestGoldenDesigns pins every design the differential oracle registers,
+// every exported metric, so a change to any design's internals — not only
+// the Figure 10 four — must leave its simulated statistics unchanged.
+func TestGoldenDesigns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden suites skipped in -short mode")
+	}
+	recs := runGoldenSuite(t, DiffDesigns())
+	goldenCompare(t, filepath.Join("testdata", "designs.golden.json"), recs)
+}
