@@ -10,10 +10,12 @@ package pdedesim_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/btb"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/pdede"
 	"repro/internal/predictor"
@@ -108,6 +110,35 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				for i := 0; i < allocChunk; i++ {
 					r := next()
 					pd.Update(r, pd.Lookup(r.PC))
+				}
+			}
+		}},
+		{"btb.Baseline.Lookup", func(t *testing.T) func() {
+			b := warmBaseline(t, recs)
+			next := cycle(recs)
+			return func() {
+				for i := 0; i < allocChunk; i++ {
+					sinkLookup = b.Lookup(next().PC)
+				}
+			}
+		}},
+		{"btb.Baseline.Lookup+Update", func(t *testing.T) func() {
+			b := warmBaseline(t, recs)
+			next := cycle(recs)
+			return func() {
+				for i := 0; i < allocChunk; i++ {
+					r := next()
+					b.Update(r, b.Lookup(r.PC))
+				}
+			}
+		}},
+		{"btb.DedupBTB.Lookup+Update", func(t *testing.T) func() {
+			d := warmDedupBTB(t, recs)
+			next := cycle(recs)
+			return func() {
+				for i := 0; i < allocChunk; i++ {
+					r := next()
+					d.Update(r, d.Lookup(r.PC))
 				}
 			}
 		}},
@@ -241,6 +272,38 @@ func TestRunWarmContextAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
+// maxHostRatio bounds a design's host state against the storage it
+// models: the bytes its constructor allocates may be at most this multiple
+// of StorageBits()/8.
+const maxHostRatio = 5
+
+// TestDesignFootprint witnesses that no registered design's host state
+// outgrows the storage it models by more than maxHostRatio. Host state is
+// the runtime.MemStats.TotalAlloc delta across Design.New, so the test is
+// not parallel: another goroutine's allocations would count too.
+// perfect-btb is exempt: it is an unbounded map by design.
+func TestDesignFootprint(t *testing.T) {
+	for _, d := range experiments.DiffDesigns() {
+		if d.Name == experiments.NamePerfect {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := d.New()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		host, model := after.TotalAlloc-before.TotalAlloc, p.StorageBits()/8
+		t.Logf("%-20s host %7.1f KiB, modelled %5.1f KiB (%.1fx)",
+			d.Name, float64(host)/1024, float64(model)/1024, float64(host)/float64(model))
+		if host > maxHostRatio*model {
+			t.Errorf("%s: New allocates %d B, over %dx its %d B of modelled storage",
+				d.Name, host, maxHostRatio, model)
+		}
+	}
+}
+
 // warmPDede returns a PDede-ME that has already seen the whole trace once.
 func warmPDede(t *testing.T, recs []isa.Branch) *pdede.PDede {
 	t.Helper()
@@ -252,6 +315,33 @@ func warmPDede(t *testing.T, recs []isa.Branch) *pdede.PDede {
 		pd.Update(r, pd.Lookup(r.PC))
 	}
 	return pd
+}
+
+// warmBaseline returns a 4K-entry baseline BTB that has already seen the
+// whole trace once.
+func warmBaseline(t *testing.T, recs []isa.Branch) *btb.Baseline {
+	t.Helper()
+	b, err := btb.NewBaseline(btb.BaselineConfig{Entries: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		b.Update(r, b.Lookup(r.PC))
+	}
+	return b
+}
+
+// warmDedupBTB returns the dedup-only design after one pass over the trace.
+func warmDedupBTB(t *testing.T, recs []isa.Branch) *btb.DedupBTB {
+	t.Helper()
+	d, err := btb.NewDedupBTB(btb.DedupBTBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		d.Update(r, d.Lookup(r.PC))
+	}
+	return d
 }
 
 // warmDedup returns a 4K-entry, 4-way table filled with the trace's

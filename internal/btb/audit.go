@@ -105,32 +105,21 @@ func (t *DedupTable) AuditRefcounts(live []int) error {
 func (b *Baseline) Audit() error {
 	for s := 0; s < b.sets; s++ {
 		base := s * b.ways
+		if w, w2, ok := b.tags.Twice(base, b.ways); ok {
+			return fmt.Errorf("btb: baseline set %d holds tag %#x twice (ways %d and %d)",
+				s, b.tags.Tag(base+w), w, w2)
+		}
 		for w := 0; w < b.ways; w++ {
-			e := &b.entries[base+w]
-			if !e.valid {
-				if b.scanTags[base+w] != scanInvalid {
-					return fmt.Errorf("btb: baseline set %d way %d scan mirror holds tag %#x for a free way",
-						s, w, b.scanTags[base+w])
-				}
+			if !b.tags.Live(base + w) {
 				continue
 			}
-			if b.scanTags[base+w] != e.tag {
-				return fmt.Errorf("btb: baseline set %d way %d scan mirror %#x disagrees with tag %#x",
-					s, w, b.scanTags[base+w], e.tag)
-			}
+			e := &b.entries[base+w]
 			if uint64(e.target)&^addr.Mask != 0 {
 				return fmt.Errorf("btb: baseline set %d way %d target %#x exceeds %d bits",
 					s, w, uint64(e.target), addr.VABits)
 			}
 			if e.conf > 3 {
 				return fmt.Errorf("btb: baseline set %d way %d confidence %d exceeds 2 bits", s, w, e.conf)
-			}
-			for w2 := w + 1; w2 < b.ways; w2++ {
-				e2 := &b.entries[base+w2]
-				if e2.valid && e2.tag == e.tag {
-					return fmt.Errorf("btb: baseline set %d holds tag %#x twice (ways %d and %d)",
-						s, e.tag, w, w2)
-				}
 			}
 		}
 	}
@@ -148,12 +137,12 @@ func (b *Baseline) StateDigest() uint64 {
 		h.Write(buf[:])
 	}
 	for i := range b.entries {
-		e := &b.entries[i]
-		if !e.valid {
+		if !b.tags.Live(i) {
 			continue
 		}
+		e := &b.entries[i]
 		put(uint64(i))
-		put(uint64(e.tag))
+		put(uint64(b.tags.Tag(i)))
 		put(uint64(e.target))
 		put(uint64(e.conf))
 	}
@@ -171,31 +160,20 @@ func (d *DedupBTB) Audit() error {
 	live := make([]int, d.targets.Entries())
 	for s := 0; s < d.sets; s++ {
 		base := s * d.ways
+		if w, w2, ok := d.tags.Twice(base, d.ways); ok {
+			return fmt.Errorf("btb: dedup monitor set %d holds tag %#x twice (ways %d and %d)",
+				s, d.tags.Tag(base+w), w, w2)
+		}
 		for w := 0; w < d.ways; w++ {
-			e := &d.entries[base+w]
-			if !e.valid {
-				if d.scanTags[base+w] != scanInvalid {
-					return fmt.Errorf("btb: dedup monitor set %d way %d scan mirror holds tag %#x for a free way",
-						s, w, d.scanTags[base+w])
-				}
+			if !d.tags.Live(base + w) {
 				continue
 			}
-			if d.scanTags[base+w] != e.tag {
-				return fmt.Errorf("btb: dedup monitor set %d way %d scan mirror %#x disagrees with tag %#x",
-					s, w, d.scanTags[base+w], e.tag)
-			}
+			e := &d.entries[base+w]
 			if !d.targets.ValidSlot(int(e.ptr)) {
 				return fmt.Errorf("btb: dedup monitor set %d way %d pointer %d does not dereference",
 					s, w, e.ptr)
 			}
 			live[e.ptr]++
-			for w2 := w + 1; w2 < d.ways; w2++ {
-				e2 := &d.entries[base+w2]
-				if e2.valid && e2.tag == e.tag {
-					return fmt.Errorf("btb: dedup monitor set %d holds tag %#x twice (ways %d and %d)",
-						s, e.tag, w, w2)
-				}
-			}
 		}
 	}
 	if err := d.targets.AuditRefcounts(live); err != nil {
@@ -215,12 +193,12 @@ func (d *DedupBTB) StateDigest() uint64 {
 		h.Write(buf[:])
 	}
 	for i := range d.entries {
-		e := &d.entries[i]
-		if !e.valid {
+		if !d.tags.Live(i) {
 			continue
 		}
+		e := &d.entries[i]
 		put(uint64(i))
-		put(uint64(e.tag))
+		put(uint64(d.tags.Tag(i)))
 		put(uint64(e.ptr))
 		if v, ok := d.targets.Get(int(e.ptr)); ok {
 			put(v)

@@ -69,7 +69,7 @@ func TestAuditCatchesInjectedRefcountBug(t *testing.T) {
 func TestAuditCatchesDanglingMonitorPointer(t *testing.T) {
 	d := trainDedup(t, 2000)
 	for i := range d.entries {
-		if d.entries[i].valid {
+		if d.tags.Live(i) {
 			d.entries[i].ptr = int32(d.targets.Entries()) // out of range
 			break
 		}
@@ -88,14 +88,14 @@ outer:
 		base := s * d.ways
 		first := -1
 		for w := 0; w < d.ways; w++ {
-			if !d.entries[base+w].valid {
+			if !d.tags.Live(base + w) {
 				continue
 			}
 			if first < 0 {
 				first = base + w
 				continue
 			}
-			d.entries[base+w].tag = d.entries[first].tag
+			d.tags[base+w] = d.tags[first]
 			corrupted = true
 			break outer
 		}
@@ -148,7 +148,7 @@ func TestBaselineAuditCatchesMalformedTarget(t *testing.T) {
 		t.Fatalf("pre-corruption audit failed: %v", err)
 	}
 	for i := range b.entries {
-		if b.entries[i].valid {
+		if b.tags.Live(i) {
 			b.entries[i].target = addr.VA(uint64(1) << addr.VABits) // bit 57
 			break
 		}

@@ -18,11 +18,13 @@ type Baseline struct {
 	ways int
 
 	indexBits uint
+	tags      TagWords    // sets × ways; the only record of which ways are live
 	entries   []baseEntry // sets × ways
-	// scanTags packs each way's tag (scanInvalid when free) into a dense
-	// array the hot Lookup/probe scans walk instead of the entry structs.
-	scanTags []addr.Tag
-	repl     []replacer
+
+	// srrip orders replacement under PolicySRRIP, and is GHRP's fallback
+	// order; repl holds per-set state instead under LRU and random.
+	srrip SRRIPSets
+	repl  []replacer
 
 	// GHRP state (only when Policy == PolicyGHRP): per-set predictive
 	// replacement plus the shared signature tables, and a per-entry
@@ -53,14 +55,12 @@ type Baseline struct {
 	storeReturns bool
 }
 
-// baseEntry is field-ordered widest-first: the 4096-entry array is the
-// baseline's dominant allocation, and this layout packs it at 24 bytes
-// per entry instead of 32.
+// baseEntry is a live way's payload; its tag and valid bit are the way's
+// tag word. The 4096-entry array is the baseline's dominant allocation, at
+// 16 bytes per entry.
 type baseEntry struct {
-	tag    addr.Tag
 	target addr.VA
 	conf   conf
-	valid  bool
 }
 
 // BaselineConfig sizes a baseline BTB.
@@ -94,9 +94,8 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 		sets:         sets,
 		ways:         cfg.Ways,
 		indexBits:    uint(bits.TrailingZeros(uint(sets))),
+		tags:         NewTagWords(cfg.Entries),
 		entries:      make([]baseEntry, cfg.Entries),
-		scanTags:     newScanTags(cfg.Entries),
-		repl:         make([]replacer, sets),
 		storeReturns: cfg.StoreReturns,
 	}
 	if cfg.Entries < 1024 {
@@ -105,16 +104,21 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 	if cfg.Policy != PolicySRRIP {
 		b.name += "-" + cfg.Policy.String()
 	}
-	if cfg.Policy == PolicyGHRP {
+	switch cfg.Policy {
+	case PolicySRRIP:
+		b.srrip = NewSRRIPSets(sets, cfg.Ways, baselineRRIPBits)
+	case PolicyGHRP:
+		b.srrip = NewSRRIPSets(sets, cfg.Ways, ghrpRRIPBits)
 		b.ghrpShared = newGHRPTables()
 		b.ghrp = make([]*ghrpRepl, sets)
 		b.reused = make([]bool, cfg.Entries)
 		for i := range b.ghrp {
 			b.ghrp[i] = newGHRPRepl(cfg.Ways, b.ghrpShared)
 		}
-	} else {
+	default:
+		b.repl = make([]replacer, sets)
 		for i := range b.repl {
-			b.repl[i] = newReplacer(cfg.Policy, cfg.Ways, baselineRRIPBits)
+			b.repl[i] = newReplacer(cfg.Policy, cfg.Ways)
 		}
 	}
 	return b, nil
@@ -128,15 +132,13 @@ func (b *Baseline) Name() string { return b.name }
 //pdede:hot
 func (b *Baseline) Lookup(pc addr.VA) Lookup {
 	set, tag := addr.IndexTag(pc, b.indexBits, TagBits)
-	b.memoPC, b.memoSet, b.memoTag, b.memoWay, b.memoOK = pc, set, tag, -1, true
 	base := int(set) * b.ways
-	for w, st := range b.scanTags[base : base+b.ways] {
-		if st == tag {
-			b.memoWay = int32(w)
-			return Lookup{Hit: true, Target: b.entries[base+w].target}
-		}
+	w := b.tags.Find(base, b.ways, tag)
+	b.memoPC, b.memoSet, b.memoTag, b.memoWay, b.memoOK = pc, set, tag, int32(w), true
+	if w < 0 {
+		return Lookup{}
 	}
-	return Lookup{}
+	return Lookup{Hit: true, Target: b.entries[base+w].target}
 }
 
 // probe resolves pc's (set, tag, matched way), reusing the Lookup memo when
@@ -151,15 +153,7 @@ func (b *Baseline) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) 
 	}
 	b.memoOK = false
 	set, tag = addr.IndexTag(pc, b.indexBits, TagBits)
-	way = -1
-	base := int(set) * b.ways
-	for w, st := range b.scanTags[base : base+b.ways] {
-		if st == tag {
-			way = w
-			break
-		}
-	}
-	return set, tag, way
+	return set, tag, b.tags.Find(int(set)*b.ways, b.ways, tag)
 }
 
 // Update implements TargetPredictor. Taken branches allocate or retrain
@@ -179,11 +173,14 @@ func (b *Baseline) Update(br isa.Branch, prior Lookup) {
 	if hit >= 0 {
 		w := hit
 		e := &b.entries[base+w]
+		if b.repl != nil {
+			b.repl[set].Touch(w)
+		} else {
+			b.srrip.Touch(int(set), w)
+		}
 		if b.ghrp != nil {
 			b.ghrp[set].touchPC(w, br.PC)
 			b.reused[base+w] = true
-		} else {
-			b.repl[set].Touch(w)
 		}
 		if e.target == br.Target {
 			e.conf = e.conf.inc()
@@ -201,13 +198,16 @@ func (b *Baseline) Update(br isa.Branch, prior Lookup) {
 	}
 	// Allocate.
 	w := b.victim(set)
-	b.entries[base+w] = baseEntry{valid: true, tag: tag, target: br.Target}
-	b.scanTags[base+w] = tag
+	b.tags.Set(base+w, tag)
+	b.entries[base+w] = baseEntry{target: br.Target}
+	if b.repl != nil {
+		b.repl[set].Insert(w)
+	} else {
+		b.srrip.Insert(int(set), w)
+	}
 	if b.ghrp != nil {
 		b.ghrp[set].insertPC(w, br.PC, b.reused[base+w])
 		b.reused[base+w] = false
-	} else {
-		b.repl[set].Insert(w)
 	}
 }
 
@@ -215,23 +215,32 @@ func (b *Baseline) Update(br isa.Branch, prior Lookup) {
 func (b *Baseline) victim(set addr.SetIndex) int {
 	base := int(set) * b.ways
 	for w := 0; w < b.ways; w++ {
-		if !b.entries[base+w].valid {
+		if !b.tags.Live(base + w) {
 			return w
 		}
 	}
-	if b.ghrp != nil {
-		return b.ghrp[set].victim()
+	if b.repl != nil {
+		return b.repl[set].Victim()
 	}
-	return b.repl[set].Victim()
+	if b.ghrp != nil {
+		if w := b.ghrp[set].deadWay(); w >= 0 {
+			return w
+		}
+	}
+	return b.srrip.Victim(int(set), nil)
 }
 
 // EntryBits returns the storage per baseline entry (Figure 2 layout; the
 // replacement metadata cost follows the configured policy).
 func (b *Baseline) EntryBits() uint64 {
-	if b.ghrp != nil {
+	switch {
+	case b.ghrp != nil:
 		return pidBits + TagBits + targetBits + confBits + b.ghrp[0].bits() + 1 // +reused
+	case b.repl != nil:
+		return pidBits + TagBits + targetBits + b.repl[0].Bits() + confBits
+	default:
+		return pidBits + TagBits + targetBits + b.srrip.Bits() + confBits
 	}
-	return pidBits + TagBits + targetBits + b.repl[0].Bits() + confBits
 }
 
 // StorageBits implements TargetPredictor.
@@ -249,14 +258,13 @@ func (b *Baseline) Entries() int { return b.sets * b.ways }
 // Reset implements TargetPredictor.
 func (b *Baseline) Reset() {
 	b.memoOK = false
+	b.tags.Reset()
 	for i := range b.entries {
 		b.entries[i] = baseEntry{}
-		b.scanTags[i] = scanInvalid
 	}
+	b.srrip.Reset()
 	for _, r := range b.repl {
-		if r != nil { // nil when GHRP manages replacement
-			r.Reset()
-		}
+		r.Reset()
 	}
 	if b.ghrp != nil {
 		for _, g := range b.ghrp {

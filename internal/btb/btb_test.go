@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,42 +14,83 @@ func takenBranch(pc, target addr.VA) isa.Branch {
 }
 
 func TestSRRIPBasics(t *testing.T) {
-	s := NewSRRIP(4, 2)
+	s := NewSRRIPSets(2, 4, 2)
 	// All ways start as victims.
-	if v := s.Victim(nil); v != 0 {
+	if v := s.Victim(1, nil); v != 0 {
 		t.Errorf("first victim = %d, want 0", v)
 	}
-	s.Insert(0)
-	s.Touch(1)
-	// Way 2,3 still max → victim 2.
-	if v := s.Victim(nil); v != 2 {
+	s.Insert(1, 0)
+	s.Touch(1, 1)
+	// Ways 2 and 3 are still at max → victim 2.
+	if v := s.Victim(1, nil); v != 2 {
 		t.Errorf("victim = %d, want 2", v)
 	}
-	s.Insert(2)
-	s.Insert(3)
-	// Now nothing at max: aging must pick the inserted (rrpv 2) before the
-	// touched (rrpv 0).
-	v := s.Victim(nil)
-	if v == 1 {
-		t.Errorf("victim picked recently touched way")
+	s.Insert(1, 2)
+	s.Insert(1, 3)
+	// Now nothing is at max: one round of aging brings the inserted ways
+	// (RRPV 2) to max before the touched one (RRPV 0), and the first of
+	// them in way order is the victim.
+	if v := s.Victim(1, nil); v != 0 {
+		t.Errorf("victim after aging = %d, want 0", v)
+	}
+	if got, want := s.rrpv[4:8], []uint8{3, 1, 3, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("set 1 RRPVs after aging = %v, want %v", got, want)
+	}
+	// Set 0 shares the slab but not the state.
+	if got, want := s.rrpv[0:4], []uint8{3, 3, 3, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("set 0 RRPVs = %v, want %v (untouched)", got, want)
+	}
+	s.Reset()
+	if v := s.Victim(1, nil); v != 0 || s.rrpv[5] != 3 {
+		t.Errorf("after reset: victim %d, way 1 RRPV %d; want 0 and 3", v, s.rrpv[5])
 	}
 }
 
 func TestSRRIPCandidates(t *testing.T) {
-	s := NewSRRIP(4, 2)
-	s.Touch(0)
-	s.Touch(1)
-	if v := s.Victim([]int{0, 1}); v != 0 && v != 1 {
-		t.Errorf("victim %d outside candidates", v)
+	s := NewSRRIPSets(2, 4, 2)
+	s.Touch(1, 0)
+	s.Touch(1, 1)
+	s.Insert(1, 2)
+	// Only the candidates age, and ties go to the first candidate in the
+	// given order.
+	if v := s.Victim(1, []int{1, 0}); v != 1 {
+		t.Errorf("victim %d, want candidate 1", v)
 	}
+	if got, want := s.rrpv[4:8], []uint8{3, 3, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RRPVs after candidate aging = %v, want %v", got, want)
+	}
+	// A candidate subset never yields a way outside it, even when a
+	// non-candidate is already at max.
+	if v := s.Victim(1, []int{2}); v != 2 {
+		t.Errorf("victim %d outside candidates {2}", v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Victim with an empty candidate list did not panic")
+		}
+	}()
+	s.Victim(0, []int{})
 }
 
 func TestSRRIPBits(t *testing.T) {
-	if got := NewSRRIP(4, 2).Bits(); got != 2 {
-		t.Errorf("Bits = %d, want 2", got)
+	for _, bits := range []uint{2, 3} {
+		s := NewSRRIPSets(1, 4, bits)
+		if got := s.Bits(); got != uint64(bits) {
+			t.Errorf("Bits = %d, want %d", got, bits)
+		}
 	}
-	if got := NewSRRIP(4, 3).Bits(); got != 3 {
-		t.Errorf("Bits = %d, want 3", got)
+	for _, bad := range []struct {
+		sets, ways int
+		bits       uint
+	}{{0, 4, 2}, {4, 0, 2}, {4, 4, 0}, {4, 4, 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSRRIPSets(%d, %d, %d) did not panic", bad.sets, bad.ways, bad.bits)
+				}
+			}()
+			NewSRRIPSets(bad.sets, bad.ways, bad.bits)
+		}()
 	}
 }
 

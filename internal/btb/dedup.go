@@ -22,7 +22,7 @@ type DedupTable struct {
 	setMask    uint64
 	valid      []bool
 	vals       []uint64
-	repl       []*SRRIP
+	repl       SRRIPSets
 
 	// Evictions counts live values displaced since construction/Reset —
 	// each one potentially leaves dangling monitor pointers.
@@ -79,7 +79,7 @@ func NewDedupTable(entries, ways int) (*DedupTable, error) {
 		setMask: uint64(sets - 1),
 		valid:   make([]bool, entries),
 		vals:    make([]uint64, entries),
-		repl:    NewSRRIPSlab(sets, ways, 2),
+		repl:    NewSRRIPSets(sets, ways, 2),
 	}
 	return t, nil
 }
@@ -136,7 +136,7 @@ func (t *DedupTable) FindOrInsert(v uint64) (ptr int, evicted bool) {
 	base := s * t.ways
 	for w := 0; w < t.ways; w++ {
 		if t.valid[base+w] && t.vals[base+w] == v {
-			t.repl[s].Touch(w)
+			t.repl.Touch(s, w)
 			return base + w, false
 		}
 	}
@@ -144,7 +144,7 @@ func (t *DedupTable) FindOrInsert(v uint64) (ptr int, evicted bool) {
 		if !t.valid[base+w] {
 			t.valid[base+w] = true
 			t.vals[base+w] = v
-			t.repl[s].Insert(w)
+			t.repl.Insert(s, w)
 			return base + w, false
 		}
 	}
@@ -153,14 +153,14 @@ func (t *DedupTable) FindOrInsert(v uint64) (ptr int, evicted bool) {
 		for w := 0; w < t.ways; w++ {
 			if t.refs[base+w] == 0 {
 				t.vals[base+w] = v
-				t.repl[s].Insert(w)
+				t.repl.Insert(s, w)
 				return base + w, false
 			}
 		}
 	}
-	w := t.repl[s].Victim(nil)
+	w := t.repl.Victim(s, nil)
 	t.vals[base+w] = v
-	t.repl[s].Insert(w)
+	t.repl.Insert(s, w)
 	t.Evictions++
 	return base + w, true
 }
@@ -184,7 +184,7 @@ func (t *DedupTable) Touch(ptr int) {
 	if ptr < 0 || ptr >= len(t.vals) {
 		return
 	}
-	t.repl[ptr/t.ways].Touch(ptr % t.ways)
+	t.repl.Touch(ptr/t.ways, ptr%t.ways)
 }
 
 // Reset clears the table.
@@ -193,9 +193,7 @@ func (t *DedupTable) Reset() {
 		t.valid[i] = false
 		t.vals[i] = 0
 	}
-	for _, r := range t.repl {
-		r.Reset()
-	}
+	t.repl.Reset()
 	t.Evictions = 0
 	if t.refs != nil {
 		for i := range t.refs {
@@ -208,7 +206,7 @@ func (t *DedupTable) Reset() {
 // (pointer-table entries also carry their SRRIP bits, plus the reference
 // counter when enabled).
 func (t *DedupTable) StorageBits(valueBits uint64) uint64 {
-	per := valueBits + t.repl[0].Bits()
+	per := valueBits + t.repl.Bits()
 	if t.refs != nil {
 		per += 3
 	}

@@ -23,12 +23,10 @@ type DedupBTB struct {
 	ways      int
 	indexBits uint
 
-	entries []dedupEntry
-	// scanTags packs each way's tag (scanInvalid when free) into a dense
-	// array the hot Lookup/probe scans walk instead of the entry structs.
-	scanTags []addr.Tag
-	repl     []*SRRIP
-	targets  *DedupTable
+	tags    TagWords     // sets × ways; the only record of which ways are live
+	entries []dedupEntry // sets × ways
+	repl    SRRIPSets
+	targets *DedupTable
 
 	// Probe memo, as in Baseline: Lookup's (set, tag, way) reused by the
 	// immediately following Update of the same PC. One-shot. Scratch, not
@@ -47,13 +45,11 @@ type DedupBTB struct {
 	memoOK bool
 }
 
-// dedupEntry is field-ordered widest-first so the monitor array packs at
-// 16 bytes per entry instead of 24.
+// dedupEntry is a live monitor way's payload, 8 bytes; its tag and valid
+// bit are the way's tag word.
 type dedupEntry struct {
-	tag   addr.Tag
-	ptr   int32
-	conf  conf
-	valid bool
+	ptr  int32
+	conf conf
 }
 
 // DedupBTBConfig sizes the design.
@@ -112,9 +108,9 @@ func NewDedupBTB(cfg DedupBTBConfig) (*DedupBTB, error) {
 		sets:      sets,
 		ways:      cfg.MonitorWays,
 		indexBits: uint(bits.TrailingZeros(uint(sets))),
+		tags:      NewTagWords(cfg.MonitorEntries),
 		entries:   make([]dedupEntry, cfg.MonitorEntries),
-		scanTags:  newScanTags(cfg.MonitorEntries),
-		repl:      NewSRRIPSlab(sets, cfg.MonitorWays, 2),
+		repl:      NewSRRIPSets(sets, cfg.MonitorWays, 2),
 		targets:   tt,
 	}
 	return d, nil
@@ -128,20 +124,17 @@ func (d *DedupBTB) Name() string { return d.name }
 //pdede:hot
 func (d *DedupBTB) Lookup(pc addr.VA) Lookup {
 	set, tag := addr.IndexTag(pc, d.indexBits, TagBits)
-	d.memoPC, d.memoSet, d.memoTag, d.memoWay, d.memoOK = pc, set, tag, -1, true
 	base := int(set) * d.ways
-	for w, st := range d.scanTags[base : base+d.ways] {
-		if st != tag {
-			continue
-		}
-		d.memoWay = int32(w)
-		v, ok := d.targets.Get(int(d.entries[base+w].ptr))
-		if !ok {
-			return Lookup{}
-		}
-		return Lookup{Hit: true, Target: addr.VA(v), ExtraLatency: 1}
+	w := d.tags.Find(base, d.ways, tag)
+	d.memoPC, d.memoSet, d.memoTag, d.memoWay, d.memoOK = pc, set, tag, int32(w), true
+	if w < 0 {
+		return Lookup{}
 	}
-	return Lookup{}
+	v, ok := d.targets.Get(int(d.entries[base+w].ptr))
+	if !ok {
+		return Lookup{}
+	}
+	return Lookup{Hit: true, Target: addr.VA(v), ExtraLatency: 1}
 }
 
 // probe resolves pc's (set, tag, matched way), reusing the Lookup memo when
@@ -155,15 +148,7 @@ func (d *DedupBTB) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) 
 	}
 	d.memoOK = false
 	set, tag = addr.IndexTag(pc, d.indexBits, TagBits)
-	way = -1
-	base := int(set) * d.ways
-	for w, st := range d.scanTags[base : base+d.ways] {
-		if st == tag {
-			way = w
-			break
-		}
-	}
-	return set, tag, way
+	return set, tag, d.tags.Find(int(set)*d.ways, d.ways, tag)
 }
 
 // Update implements TargetPredictor.
@@ -175,11 +160,10 @@ func (d *DedupBTB) Update(br isa.Branch, prior Lookup) {
 	}
 	set, tag, hit := d.probe(br.PC)
 	base := int(set) * d.ways
-	repl := d.repl[set]
 	if hit >= 0 {
 		w := hit
 		e := &d.entries[base+w]
-		repl.Touch(w)
+		d.repl.Touch(int(set), w)
 		if v, ok := d.targets.Get(int(e.ptr)); ok && addr.VA(v) == br.Target {
 			e.conf = e.conf.inc()
 			d.targets.Touch(int(e.ptr))
@@ -212,24 +196,24 @@ func (d *DedupBTB) Update(br isa.Branch, prior Lookup) {
 	ptr, _ := d.targets.FindOrInsert(uint64(br.Target))
 	w := -1
 	for i := 0; i < d.ways; i++ {
-		if !d.entries[base+i].valid {
+		if !d.tags.Live(base + i) {
 			w = i
 			break
 		}
 	}
 	if w < 0 {
-		w = repl.Victim(nil)
+		w = d.repl.Victim(int(set), nil)
 		d.targets.Release(int(d.entries[base+w].ptr))
 	}
-	d.entries[base+w] = dedupEntry{valid: true, tag: tag, ptr: int32(ptr)}
-	d.scanTags[base+w] = tag
+	d.tags.Set(base+w, tag)
+	d.entries[base+w] = dedupEntry{ptr: int32(ptr)}
 	d.targets.Acquire(ptr)
-	repl.Insert(w)
+	d.repl.Insert(int(set), w)
 }
 
 // MonitorEntryBits returns per-entry monitor storage.
 func (d *DedupBTB) MonitorEntryBits() uint64 {
-	return pidBits + TagBits + confBits + 2 /* SRRIP */ + d.targets.PtrBits()
+	return pidBits + TagBits + confBits + d.repl.Bits() + d.targets.PtrBits()
 }
 
 // StorageBits implements TargetPredictor.
@@ -240,12 +224,10 @@ func (d *DedupBTB) StorageBits() uint64 {
 // Reset implements TargetPredictor.
 func (d *DedupBTB) Reset() {
 	d.memoOK = false
+	d.tags.Reset()
 	for i := range d.entries {
 		d.entries[i] = dedupEntry{}
-		d.scanTags[i] = scanInvalid
 	}
-	for _, r := range d.repl {
-		r.Reset()
-	}
+	d.repl.Reset()
 	d.targets.Reset()
 }

@@ -8,16 +8,19 @@ import "repro/internal/addr"
 // orthogonal work). Each entry carries a *signature* hashing its PC with
 // the global history at insertion; two small counter tables vote on whether
 // a signature's entries tend to die without reuse. Victim selection prefers
-// predicted-dead entries and falls back to SRRIP order.
+// predicted-dead entries and falls back to SRRIP order, which the BTB keeps
+// in its SRRIPSets at ghrpRRIPBits per way.
 //
 // The policy is exercised by the ext-repl ablation; the paper's designs all
 // use plain SRRIP.
 type ghrpRepl struct {
-	srrip *SRRIP
-	sig   []uint16
+	sig []uint16
 
 	tables *ghrpTables
 }
+
+// ghrpRRIPBits is the RRPV width of GHRP's fallback SRRIP order.
+const ghrpRRIPBits = 2
 
 // ghrpTables are shared across all sets of one BTB (global predictor state).
 type ghrpTables struct {
@@ -74,7 +77,6 @@ func (g *ghrpTables) trainLive(sig uint16) {
 
 func newGHRPRepl(ways int, tables *ghrpTables) *ghrpRepl {
 	return &ghrpRepl{
-		srrip:  NewSRRIP(ways, 2),
 		sig:    make([]uint16, ways),
 		tables: tables,
 	}
@@ -82,7 +84,6 @@ func newGHRPRepl(ways int, tables *ghrpTables) *ghrpRepl {
 
 // touchPC records a hit of pc on way w.
 func (r *ghrpRepl) touchPC(w int, pc addr.VA) {
-	r.srrip.Touch(w)
 	r.tables.trainLive(r.sig[w])
 	r.tables.note(r.sig[w])
 }
@@ -96,27 +97,26 @@ func (r *ghrpRepl) insertPC(w int, pc addr.VA, displacedLive bool) {
 		r.tables.trainDead(r.sig[w])
 	}
 	r.sig[w] = r.tables.signature(pc)
-	r.srrip.Insert(w)
 	r.tables.note(r.sig[w])
 }
 
-// victim prefers a predicted-dead way, falling back to SRRIP.
-func (r *ghrpRepl) victim() int {
+// deadWay returns the first predicted-dead way, or -1 when the caller
+// should fall back to SRRIP order.
+func (r *ghrpRepl) deadWay() int {
 	for w, s := range r.sig {
 		if s != 0 && r.tables.dead(s) {
 			return w
 		}
 	}
-	return r.srrip.Victim(nil)
+	return -1
 }
 
-// bits per way: 2 SRRIP + 16 signature (the global tables add 2×2^12×2
-// bits shared across the whole BTB, accounted by the caller).
-func (r *ghrpRepl) bits() uint64 { return 2 + 16 }
+// bits per way: ghrpRRIPBits of SRRIP + 16 signature (the global tables add
+// 2×2^12×2 bits shared across the whole BTB, accounted by the caller).
+func (r *ghrpRepl) bits() uint64 { return ghrpRRIPBits + 16 }
 
 func (r *ghrpRepl) reset() {
 	for w := range r.sig {
 		r.sig[w] = 0
-		r.srrip.rrpv[w] = r.srrip.max
 	}
 }

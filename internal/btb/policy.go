@@ -34,7 +34,9 @@ func (k PolicyKind) String() string {
 	}
 }
 
-// replacer manages the replacement order of one set.
+// replacer manages the replacement order of one set under LRU or random
+// replacement. SRRIP, and GHRP's fallback order, keep their state in the
+// structure's SRRIPSets instead.
 type replacer interface {
 	// Touch records a hit on way w.
 	Touch(w int)
@@ -48,28 +50,12 @@ type replacer interface {
 	Reset()
 }
 
-// newReplacer builds per-set replacement state.
-func newReplacer(kind PolicyKind, ways int, rripBits uint) replacer {
-	switch kind {
-	case PolicyLRU:
+// newReplacer builds one set's PolicyLRU or PolicyRandom state.
+func newReplacer(kind PolicyKind, ways int) replacer {
+	if kind == PolicyLRU {
 		return &lruRepl{stamp: make([]uint64, ways)}
-	case PolicyRandom:
-		return &randRepl{ways: ways, state: 0x9e3779b9}
-	default:
-		return &srripRepl{s: NewSRRIP(ways, rripBits)}
 	}
-}
-
-type srripRepl struct{ s *SRRIP }
-
-func (r *srripRepl) Touch(w int)  { r.s.Touch(w) }
-func (r *srripRepl) Insert(w int) { r.s.Insert(w) }
-func (r *srripRepl) Victim() int  { return r.s.Victim(nil) }
-func (r *srripRepl) Bits() uint64 { return r.s.Bits() }
-func (r *srripRepl) Reset() {
-	for w := range r.s.rrpv {
-		r.s.rrpv[w] = r.s.max
-	}
+	return &randRepl{ways: ways, state: 0x9e3779b9}
 }
 
 // lruRepl holds a logical timestamp per way; the victim is the oldest.

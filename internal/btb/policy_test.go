@@ -16,7 +16,7 @@ func TestPolicyNames(t *testing.T) {
 }
 
 func TestLRUVictimIsOldest(t *testing.T) {
-	r := newReplacer(PolicyLRU, 4, 3)
+	r := newReplacer(PolicyLRU, 4)
 	r.Insert(0)
 	r.Insert(1)
 	r.Insert(2)
@@ -32,7 +32,7 @@ func TestLRUVictimIsOldest(t *testing.T) {
 }
 
 func TestRandomVictimInRange(t *testing.T) {
-	r := newReplacer(PolicyRandom, 5, 3)
+	r := newReplacer(PolicyRandom, 5)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		v := r.Victim()
@@ -47,13 +47,14 @@ func TestRandomVictimInRange(t *testing.T) {
 }
 
 func TestPolicyBits(t *testing.T) {
-	if b := newReplacer(PolicySRRIP, 8, 3).Bits(); b != 3 {
+	srrip := NewSRRIPSets(1, 8, baselineRRIPBits)
+	if b := srrip.Bits(); b != 3 {
 		t.Errorf("srrip bits = %d", b)
 	}
-	if b := newReplacer(PolicyLRU, 8, 3).Bits(); b != 3 {
+	if b := newReplacer(PolicyLRU, 8).Bits(); b != 3 {
 		t.Errorf("lru bits = %d, want 3 (log2 ways)", b)
 	}
-	if b := newReplacer(PolicyRandom, 8, 3).Bits(); b != 0 {
+	if b := newReplacer(PolicyRandom, 8).Bits(); b != 0 {
 		t.Errorf("random bits = %d", b)
 	}
 }

@@ -1,103 +1,74 @@
 package btb
 
-// SRRIP implements Static Re-Reference Interval Prediction replacement
-// (Jaleel et al., ISCA'10) over the ways of one set. Each way carries an
-// RRPV (re-reference prediction value); hits promote to 0, insertions start
-// at max-1 ("long re-reference"), and victims are ways holding max,
-// aging every way until one appears.
-type SRRIP struct {
-	rrpv []uint8
+// SRRIPSets implements Static Re-Reference Interval Prediction replacement
+// (Jaleel et al., ISCA'10) for every set of one structure, in one flat RRPV
+// slab. Each way carries an RRPV (re-reference prediction value); hits
+// promote to 0, insertions start at max-1 ("long re-reference"), and
+// victims are ways holding max, aging every candidate until one appears.
+type SRRIPSets struct {
+	rrpv []uint8 // set s's ways at [s*ways, (s+1)*ways)
+	all  []int   // every way index, the candidates of an unrestricted Victim
 	max  uint8
-	all  []int
 }
 
-// NewSRRIP builds replacement state for `ways` ways with `bits`-bit RRPVs
-// (the paper uses 2-bit for PDede structures, 3-bit for the baseline BTB).
-func NewSRRIP(ways int, bits uint) *SRRIP {
-	if ways <= 0 {
-		panic("btb: SRRIP needs at least one way")
+// NewSRRIPSets builds replacement state for sets×ways ways with bits-bit
+// RRPVs (the paper uses 2-bit for PDede structures, 3-bit for the baseline
+// BTB). Every way starts empty, an immediate victim.
+func NewSRRIPSets(sets, ways int, bits uint) SRRIPSets {
+	if sets <= 0 || ways <= 0 {
+		panic("btb: SRRIP needs at least one set and one way")
 	}
 	if bits == 0 || bits > 8 {
 		panic("btb: SRRIP RRPV bits out of range")
 	}
-	s := &SRRIP{rrpv: make([]uint8, ways), max: uint8(1<<bits) - 1, all: make([]int, ways)}
-	for i := range s.rrpv {
-		s.rrpv[i] = s.max // empty ways are immediate victims
-		s.all[i] = i
+	s := SRRIPSets{rrpv: make([]uint8, sets*ways), all: make([]int, ways), max: uint8(1<<bits) - 1}
+	for w := range s.all {
+		s.all[w] = w
 	}
+	s.Reset()
 	return s
 }
 
-// Touch marks a hit on way w (near-immediate re-reference predicted).
-func (s *SRRIP) Touch(w int) { s.rrpv[w] = 0 }
+// Touch marks a hit on way w of set (near-immediate re-reference
+// predicted).
+func (s *SRRIPSets) Touch(set, w int) { s.rrpv[set*len(s.all)+w] = 0 }
 
-// Insert marks way w as freshly allocated with a long re-reference interval.
-func (s *SRRIP) Insert(w int) { s.rrpv[w] = s.max - 1 }
+// Insert marks way w of set as freshly allocated with a long re-reference
+// interval.
+func (s *SRRIPSets) Insert(set, w int) { s.rrpv[set*len(s.all)+w] = s.max - 1 }
 
-// Victim selects the way to replace among the candidate ways (nil means all
-// ways), aging RRPVs as needed. It always terminates: aging eventually
-// drives some candidate to max.
-func (s *SRRIP) Victim(candidates []int) int {
+// Victim selects the way of set to replace among the candidate ways (nil
+// means all ways), aging their RRPVs as needed. It always terminates: aging
+// eventually drives some candidate to max.
+func (s *SRRIPSets) Victim(set int, candidates []int) int {
 	if candidates == nil {
 		candidates = s.all
 	}
 	if len(candidates) == 0 {
 		panic("btb: SRRIP victim with no candidates")
 	}
+	rrpv := s.rrpv[set*len(s.all) : (set+1)*len(s.all)]
 	for {
 		for _, w := range candidates {
-			if s.rrpv[w] >= s.max {
+			if rrpv[w] >= s.max {
 				return w
 			}
 		}
 		for _, w := range candidates {
-			s.rrpv[w]++
+			rrpv[w]++
 		}
 	}
 }
 
-// Reset returns every way to max RRPV ("empty", immediate victim) in place,
-// so slab-backed state (NewSRRIPSlab) stays slab-backed.
-func (s *SRRIP) Reset() {
+// Reset returns every way to max RRPV (empty, an immediate victim).
+func (s *SRRIPSets) Reset() {
 	for i := range s.rrpv {
 		s.rrpv[i] = s.max
 	}
 }
 
-// NewSRRIPSlab builds per-set SRRIP state for n sets out of one shared RRPV
-// slab and one shared candidate list (read-only in Victim), collapsing the
-// 3n allocations of n NewSRRIP calls into 3. The states are otherwise
-// independent.
-func NewSRRIPSlab(n, ways int, bits uint) []*SRRIP {
-	if n <= 0 {
-		panic("btb: SRRIP slab needs at least one set")
-	}
-	if ways <= 0 {
-		panic("btb: SRRIP needs at least one way")
-	}
-	if bits == 0 || bits > 8 {
-		panic("btb: SRRIP RRPV bits out of range")
-	}
-	max := uint8(1<<bits) - 1
-	slab := make([]uint8, n*ways)
-	for i := range slab {
-		slab[i] = max
-	}
-	all := make([]int, ways)
-	for i := range all {
-		all[i] = i
-	}
-	objs := make([]SRRIP, n)
-	out := make([]*SRRIP, n)
-	for i := range objs {
-		objs[i] = SRRIP{rrpv: slab[i*ways : (i+1)*ways : (i+1)*ways], max: max, all: all}
-		out[i] = &objs[i]
-	}
-	return out
-}
-
 // Bits returns the replacement metadata bits per way.
-func (s *SRRIP) Bits() uint64 {
+func (s *SRRIPSets) Bits() uint64 {
 	b := uint64(0)
 	for v := s.max; v > 0; v >>= 1 {
 		b++

@@ -32,12 +32,12 @@ type prediction struct {
 }
 
 // resolve completes one branch's pass through the BPU given its frontend
-// outcome rec: probe the right target structure (the RAS result arrives in
-// rec), take the direction rec recorded, classify the resteer, then train
-// the BTB and ITTAGE.
-func (u *bpu) resolve(b isa.Branch, rec warmRec) prediction {
+// outcome rec, into out: probe the right target structure (the RAS result
+// arrives in rec), take the direction rec recorded, classify the resteer,
+// then train the BTB and ITTAGE.
+func (u *bpu) resolve(b *isa.Branch, rec warmRec, out *prediction) {
 	p := &u.cfg.Params
-	out := prediction{usesBTB: true, dirPred: true}
+	*out = prediction{usesBTB: true, dirPred: true}
 
 	switch {
 	case b.Kind.IsReturn() && !u.cfg.StoreReturnsInBTB:
@@ -78,7 +78,7 @@ func (u *bpu) resolve(b isa.Branch, rec warmRec) prediction {
 
 	// Training.
 	if out.usesBTB && (!b.Kind.IsReturn() || u.cfg.StoreReturnsInBTB) {
-		u.cfg.BTB.Update(b, out.look)
+		u.cfg.BTB.Update(*b, out.look)
 	}
 	if b.Kind.IsIndirect() && u.cfg.ITTAGE != nil && b.Taken {
 		u.cfg.ITTAGE.Update(b.PC, b.Target)
@@ -86,11 +86,10 @@ func (u *bpu) resolve(b isa.Branch, rec warmRec) prediction {
 	if u.cfg.ITTAGE != nil {
 		u.cfg.ITTAGE.Observe(b.Taken)
 	}
-	return out
 }
 
 // note records the per-branch statistics common to both models.
-func (u *bpu) note(res *Result, b isa.Branch, pr prediction) {
+func (u *bpu) note(res *Result, b *isa.Branch, pr *prediction) {
 	res.Instructions += uint64(b.BlockLen)
 	res.DynBranches++
 	targetCorrect := pr.look.Hit && pr.look.Target == b.Target

@@ -43,7 +43,7 @@ type pipeTiming struct {
 // pipeStep is backStep under the pipeline model. Result.Cycles is the
 // retirement time since the measured window began, set on every measured
 // record, so a Snapshot mid-window is live.
-func (s *sim) pipeStep(b isa.Branch, rec warmRec) {
+func (s *sim) pipeStep(b *isa.Branch, rec warmRec) {
 	p, par := s.pipe, &s.cfg.Params
 	measuring := s.seen >= s.cfg.WarmupInstrs
 	if measuring && !p.started {
@@ -68,7 +68,8 @@ func (s *sim) pipeStep(b isa.Branch, rec warmRec) {
 		issueAt = floor
 	}
 
-	pr := s.bpu.resolve(b, rec)
+	var pr prediction
+	s.bpu.resolve(b, rec, &pr)
 	extraUsed := b.Taken && pr.look.Hit && pr.look.ExtraLatency > 0 &&
 		(pr.dirPred || !b.Kind.IsConditional())
 	if extraUsed {
@@ -115,7 +116,7 @@ func (s *sim) pipeStep(b isa.Branch, rec warmRec) {
 	newRetireEnd := retireStart + float64(b.BlockLen)*s.effCPI
 
 	if measuring {
-		s.bpu.note(s.res, b, pr)
+		s.bpu.note(s.res, b, &pr)
 		s.res.ICacheAccesses++
 		s.res.ICacheMisses += uint64(misses)
 		s.res.BackendCycles += float64(b.BlockLen) * s.effCPI

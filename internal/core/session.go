@@ -105,7 +105,7 @@ func (se *Session) apply(batch []isa.Branch, recs []warmRec) (n int, done bool, 
 		} else {
 			rec = recs[i]
 		}
-		s.backStep(batch[i], rec)
+		s.backStep(&batch[i], rec)
 		se.records++
 		if se.auditable != nil && se.records%every == 0 {
 			if err := auditBTB(se.auditable, se.records-1); err != nil {

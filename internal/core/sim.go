@@ -148,7 +148,7 @@ type sim struct {
 // window counts the record, and the cycle accounting advances the runahead
 // lead and the refill recurrence. Under the pipeline model, pipeStep
 // takes the record instead.
-func (s *sim) backStep(b isa.Branch, rec warmRec) {
+func (s *sim) backStep(b *isa.Branch, rec warmRec) {
 	if s.pipe != nil {
 		s.pipeStep(b, rec)
 		return
@@ -157,11 +157,12 @@ func (s *sim) backStep(b isa.Branch, rec warmRec) {
 	measuring := s.seen >= s.cfg.WarmupInstrs
 	s.seen += uint64(b.BlockLen)
 
-	pr := s.bpu.resolve(b, rec)
+	var pr prediction
+	s.bpu.resolve(b, rec, &pr)
 	misses := int(rec.misses)
 	if measuring {
 		s.measured += uint64(b.BlockLen)
-		s.bpu.note(s.res, b, pr)
+		s.bpu.note(s.res, b, &pr)
 		s.res.ICacheAccesses++
 		s.res.ICacheMisses += uint64(misses)
 	}
@@ -254,7 +255,7 @@ func produceCycles(tab *[produceTabLen]float64, blockLen uint16, fetchWidth int)
 // polluteWrongPath models the ICache pollution of wrong-path fetch: until a
 // resteer resolves, the frontend streams lines from wherever it (wrongly)
 // went — the mispredicted target if it had one, the fallthrough otherwise.
-func (s *sim) polluteWrongPath(b isa.Branch, look btb.Lookup) {
+func (s *sim) polluteWrongPath(b *isa.Branch, look btb.Lookup) {
 	start := b.Fallthrough()
 	if look.Hit && look.Target != b.NextPC() {
 		start = look.Target

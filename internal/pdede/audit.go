@@ -25,19 +25,15 @@ import (
 func (p *PDede) Audit() error {
 	for s := 0; s < p.cfg.Sets; s++ {
 		base := s * p.cfg.Ways
+		if w, w2, ok := p.tags.Twice(base, p.cfg.Ways); ok {
+			return fmt.Errorf("pdede: set %d holds tag %#x twice (ways %d and %d)",
+				s, p.tags.Tag(base+w), w, w2)
+		}
 		for w := 0; w < p.cfg.Ways; w++ {
-			e := &p.entries[base+w]
-			if !e.valid {
-				if p.scanTags[base+w] != scanInvalid {
-					return fmt.Errorf("pdede: set %d way %d scan mirror holds tag %#x for a free way",
-						s, w, p.scanTags[base+w])
-				}
+			if !p.tags.Live(base + w) {
 				continue
 			}
-			if p.scanTags[base+w] != e.tag {
-				return fmt.Errorf("pdede: set %d way %d scan mirror %#x disagrees with tag %#x",
-					s, w, p.scanTags[base+w], e.tag)
-			}
+			e := &p.entries[base+w]
 			if e.offset >= 1<<addr.OffsetBits {
 				return fmt.Errorf("pdede: set %d way %d offset %#x exceeds %d bits",
 					s, w, e.offset, addr.OffsetBits)
@@ -72,12 +68,6 @@ func (p *PDede) Audit() error {
 						s, w, e.ntOffset, addr.OffsetBits)
 				}
 			}
-			for w2 := w + 1; w2 < p.cfg.Ways; w2++ {
-				e2 := &p.entries[base+w2]
-				if e2.valid && e2.tag == e.tag {
-					return fmt.Errorf("pdede: set %d holds tag %#x twice (ways %d and %d)", s, e.tag, w, w2)
-				}
-			}
 		}
 	}
 	if p.ntArmed && p.cfg.Variant != MultiTarget {
@@ -110,12 +100,12 @@ func (p *PDede) StateDigest() uint64 {
 		h.Write(buf[:])
 	}
 	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
+		if !p.tags.Live(i) {
 			continue
 		}
+		e := &p.entries[i]
 		put(uint64(i))
-		put(uint64(e.tag))
+		put(uint64(p.tags.Tag(i)))
 		put(uint64(e.offset))
 		if e.delta {
 			put(1)

@@ -36,7 +36,7 @@ func TestAuditCleanAfterTraining(t *testing.T) {
 func TestAuditCatchesOversizedOffset(t *testing.T) {
 	p := trainMixed(t, DefaultConfig(), 1000)
 	for i := range p.entries {
-		if p.entries[i].valid {
+		if p.tags.Live(i) {
 			p.entries[i].offset = 1 << addr.OffsetBits
 			break
 		}
@@ -51,7 +51,7 @@ func TestAuditCatchesDanglingPartitionPointer(t *testing.T) {
 	corrupted := false
 	for i := range p.entries {
 		e := &p.entries[i]
-		if e.valid && !e.delta {
+		if p.tags.Live(i) && !e.delta {
 			e.pagePtr = int32(p.pages.Entries())
 			corrupted = true
 			break
@@ -72,7 +72,7 @@ func TestAuditCatchesPointerEntryInNarrowWay(t *testing.T) {
 		base := s * p.cfg.Ways
 		for w := p.halfWays; w < p.cfg.Ways; w++ {
 			e := &p.entries[base+w]
-			if e.valid && e.delta {
+			if p.tags.Live(base+w) && e.delta {
 				e.delta = false // narrow ways have no pointer fields to back this
 				corrupted = true
 				break
@@ -95,14 +95,14 @@ outer:
 		base := s * p.cfg.Ways
 		first := -1
 		for w := 0; w < p.cfg.Ways; w++ {
-			if !p.entries[base+w].valid {
+			if !p.tags.Live(base + w) {
 				continue
 			}
 			if first < 0 {
 				first = base + w
 				continue
 			}
-			p.entries[base+w].tag = p.entries[first].tag
+			p.tags[base+w] = p.tags[first]
 			corrupted = true
 			break outer
 		}
@@ -120,7 +120,7 @@ func TestAuditCatchesNTStateOutsideMultiTarget(t *testing.T) {
 	corrupted := false
 	for i := range p.entries {
 		e := &p.entries[i]
-		if e.valid && e.delta {
+		if p.tags.Live(i) && e.delta {
 			e.ntValid = true
 			corrupted = true
 			break
@@ -142,7 +142,7 @@ func TestAuditCatchesDeltaWhenDisabled(t *testing.T) {
 		t.Fatalf("pre-corruption audit failed: %v", err)
 	}
 	for i := range p.entries {
-		if p.entries[i].valid {
+		if p.tags.Live(i) {
 			p.entries[i].delta = true
 			break
 		}

@@ -148,14 +148,6 @@ func nextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-func newScanTags(n int) []addr.Tag {
-	st := make([]addr.Tag, n)
-	for i := range st {
-		st[i] = scanInvalid
-	}
-	return st
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -186,13 +178,9 @@ type PDede struct {
 	indexBits uint
 	halfWays  int // first narrow way index (Ways for non-MultiEntry)
 
-	entries []entry
-	// scanTags mirrors entries' (valid, tag) pairs as one flat word per way
-	// — the tag for live entries, scanInvalid for free ones — so the hot way
-	// scans touch 8 bytes per way instead of a 40-byte struct. Kept in sync
-	// at every entry (in)validation; Audit cross-checks the mirror.
-	scanTags []addr.Tag
-	repl     []*btb.SRRIP
+	tags    btb.TagWords // Sets × Ways; the only record of which ways are live
+	entries []entry      // Sets × Ways
+	repl    btb.SRRIPSets
 
 	pages   *btb.DedupTable
 	regions *btb.DedupTable
@@ -251,25 +239,19 @@ type Stats struct {
 	NTServed uint64
 }
 
-// entry is field-ordered widest-first: the Sets×Ways array dominates the
-// model's memory, and this layout packs it at 24 bytes per entry instead
-// of 32.
+// entry is a live BTBM way's payload; its tag and valid bit are the way's
+// tag word. The Sets×Ways array dominates the model's memory, at 16 bytes
+// per entry.
 type entry struct {
-	tag       addr.Tag
 	pagePtr   int32
 	regionPtr int32
 	offset    uint16
 	// MultiTarget: the next taken same-page branch's offset (§4.3.1).
 	ntOffset uint16
 	conf     uint8
-	valid    bool
 	delta    bool
 	ntValid  bool
 }
-
-// scanInvalid marks a free way in the scanTags mirror. Real tags are
-// btb.TagBits (12) wide, so no live entry can carry it.
-const scanInvalid = addr.Tag(^uint64(0))
 
 // New builds a PDede BTB.
 func New(cfg Config) (*PDede, error) {
@@ -289,9 +271,9 @@ func New(cfg Config) (*PDede, error) {
 		name:      cfg.Variant.String(),
 		indexBits: uint(bits.TrailingZeros(uint(cfg.Sets))),
 		halfWays:  cfg.Ways,
+		tags:      btb.NewTagWords(cfg.Sets * cfg.Ways),
 		entries:   make([]entry, cfg.Sets*cfg.Ways),
-		scanTags:  newScanTags(cfg.Sets * cfg.Ways),
-		repl:      btb.NewSRRIPSlab(cfg.Sets, cfg.Ways, 2),
+		repl:      btb.NewSRRIPSets(cfg.Sets, cfg.Ways, 2),
 		pages:     pages,
 		regions:   regions,
 	}
@@ -332,52 +314,36 @@ func (p *PDede) narrow(w int) bool { return w >= p.halfWays }
 //pdede:hot
 func (p *PDede) Lookup(pc addr.VA) btb.Lookup {
 	set, tag := addr.IndexTag(pc, p.indexBits, btb.TagBits)
-	p.memoPC, p.memoSet, p.memoTag, p.memoWay, p.memoOK = pc, set, tag, -1, true
 	base := int(set) * p.cfg.Ways
-	end := base + p.cfg.Ways
+	w := p.tags.Find(base, p.cfg.Ways, tag)
+	p.memoPC, p.memoSet, p.memoTag, p.memoWay, p.memoOK = pc, set, tag, int32(w), true
 
 	armNext := false
 	var armOffset uint16
 	result := btb.Lookup{}
-	found := false
-
-	// The window guard is unreachable under the sets*ways = len
-	// construction invariant; stating it lets the prove pass elide every
-	// bounds check in the way scan (tags and ents share the length
-	// end-base).
-	if base >= 0 && end >= base && end <= len(p.scanTags) && end <= len(p.entries) {
-		tags := p.scanTags[base:end]
-		ents := p.entries[base:end]
-		for w, st := range tags {
-			if st != tag {
-				continue
+	if w >= 0 {
+		e := &p.entries[base+w]
+		if e.delta {
+			// Same-page: concatenate the PC's page with the stored offset;
+			// no Page/Region access, no extra cycle.
+			result = btb.Lookup{Hit: true, Target: pc.WithOffset(addr.PageOffset(e.offset))}
+			if e.ntValid {
+				armNext, armOffset = true, e.ntOffset
 			}
-			e := &ents[w]
-			found = true
-			p.memoWay = int32(w)
-			if e.delta {
-				// Same-page: concatenate the PC's page with the stored offset;
-				// no Page/Region access, no extra cycle.
-				result = btb.Lookup{Hit: true, Target: pc.WithOffset(addr.PageOffset(e.offset))}
-				if e.ntValid {
-					armNext, armOffset = true, e.ntOffset
-				}
-			} else {
-				pv, okP := p.pages.Get(int(e.pagePtr))
-				rv, okR := p.regions.Get(int(e.regionPtr))
-				if okP && okR {
-					result = btb.Lookup{
-						Hit:          true,
-						Target:       addr.Build(addr.RegionID(rv), addr.PageNum(pv), addr.PageOffset(e.offset)),
-						ExtraLatency: 1,
-					}
+		} else {
+			pv, okP := p.pages.Get(int(e.pagePtr))
+			rv, okR := p.regions.Get(int(e.regionPtr))
+			if okP && okR {
+				result = btb.Lookup{
+					Hit:          true,
+					Target:       addr.Build(addr.RegionID(rv), addr.PageNum(pv), addr.PageOffset(e.offset)),
+					ExtraLatency: 1,
 				}
 			}
-			break
 		}
 	}
 
-	if !found && p.cfg.Variant == MultiTarget && p.ntArmed {
+	if w < 0 && p.cfg.Variant == MultiTarget && p.ntArmed {
 		// BTBM miss served from the Next Target Offset register: the next
 		// taken branch after the arming entry shares its page, so the
 		// missing PC's own page completes the target.
@@ -405,12 +371,11 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 	}
 	set, tag, w := p.probe(br.PC)
 	base := int(set) * p.cfg.Ways
-	repl := p.repl[set]
 	samePage := br.PC.SamePage(br.Target) && !p.cfg.DisableDelta
 
 	if w >= 0 {
 		e := &p.entries[base+w]
-		repl.Touch(w)
+		p.repl.Touch(int(set), w)
 		if pred, ok := p.predictFrom(e, br.PC); ok && pred == br.Target {
 			if e.conf < 3 {
 				e.conf++
@@ -457,8 +422,7 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 			// A narrow way cannot describe a different-page target:
 			// invalidate and fall through to a fresh allocation in the
 			// full ways.
-			e.valid = false
-			p.scanTags[base+w] = scanInvalid
+			p.tags.Free(base + w)
 			w = -1
 		} else {
 			pp, rp, ok := p.allocPartition(br.Target)
@@ -489,16 +453,14 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 	if w < 0 {
 		return
 	}
+	p.tags.Set(base+w, tag)
 	p.entries[base+w] = entry{
-		valid:     true,
-		tag:       tag,
 		delta:     samePage,
 		offset:    uint16(br.Target.Offset()),
 		pagePtr:   int32(pp),
 		regionPtr: int32(rp),
 	}
-	p.scanTags[base+w] = tag
-	repl.Insert(w)
+	p.repl.Insert(int(set), w)
 	p.noteMultiTarget(br, set, w, samePage)
 }
 
@@ -514,19 +476,7 @@ func (p *PDede) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 	}
 	p.memoOK = false
 	set, tag = addr.IndexTag(pc, p.indexBits, btb.TagBits)
-	way = -1
-	base := int(set) * p.cfg.Ways
-	end := base + p.cfg.Ways
-	// Guarded window as in Lookup: unreachable guard, bounds-check-free scan.
-	if base >= 0 && end >= base && end <= len(p.scanTags) {
-		for w, st := range p.scanTags[base:end] {
-			if st == tag {
-				way = w
-				break
-			}
-		}
-	}
-	return set, tag, way
+	return set, tag, p.tags.Find(int(set)*p.cfg.Ways, p.cfg.Ways, tag)
 }
 
 // predictFrom reconstructs the target an entry currently encodes.
@@ -560,21 +510,20 @@ func (p *PDede) allocPartition(target addr.VA) (pagePtr, regionPtr int, ok bool)
 //pdede:hot
 func (p *PDede) victim(set addr.SetIndex, samePage bool) int {
 	base := int(set) * p.cfg.Ways
-	repl := p.repl[set]
 	if samePage {
 		for w := p.cfg.Ways - 1; w >= 0; w-- { // narrow ways sit at the top
-			if !p.entries[base+w].valid {
+			if !p.tags.Live(base + w) {
 				return w
 			}
 		}
-		return repl.Victim(nil)
+		return p.repl.Victim(int(set), nil)
 	}
 	for w := 0; w < p.halfWays; w++ {
-		if !p.entries[base+w].valid {
+		if !p.tags.Live(base + w) {
 			return w
 		}
 	}
-	return repl.Victim(p.fullCandidates)
+	return p.repl.Victim(int(set), p.fullCandidates)
 }
 
 // noteMultiTarget maintains the Last BTBM set/way register ring and plants
@@ -592,7 +541,7 @@ func (p *PDede) noteMultiTarget(br isa.Branch, set addr.SetIndex, way int, sameP
 				continue
 			}
 			prev := &p.entries[idx]
-			if prev.valid && prev.delta {
+			if p.tags.Live(idx) && prev.delta {
 				prev.ntValid = true
 				prev.ntOffset = off
 			}
@@ -639,13 +588,11 @@ func (p *PDede) Entries() int { return p.cfg.Sets * p.cfg.Ways }
 // Reset implements btb.TargetPredictor.
 func (p *PDede) Reset() {
 	p.memoOK = false
+	p.tags.Reset()
 	for i := range p.entries {
 		p.entries[i] = entry{}
-		p.scanTags[i] = scanInvalid
 	}
-	for _, r := range p.repl {
-		r.Reset()
-	}
+	p.repl.Reset()
 	p.pages.Reset()
 	p.regions.Reset()
 	p.ntArmed = false

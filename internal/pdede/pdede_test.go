@@ -225,7 +225,7 @@ func TestMultiEntryNarrowWaysRejectDifferentPage(t *testing.T) {
 	}
 	fullLive, narrowLive := 0, 0
 	for w := 0; w < 8; w++ {
-		if p.entries[w].valid {
+		if p.tags.Live(w) {
 			if p.narrow(w) {
 				narrowLive++
 			} else {
@@ -247,7 +247,7 @@ func TestMultiEntryNarrowWaysRejectDifferentPage(t *testing.T) {
 	}
 	narrowLive = 0
 	for w := 4; w < 8; w++ {
-		if p.entries[w].valid {
+		if p.tags.Live(w) {
 			narrowLive++
 		}
 	}
@@ -271,8 +271,7 @@ func TestMultiEntryRetrainNarrowToDifferentPage(t *testing.T) {
 		t.Fatalf("after migration: %+v", l)
 	}
 	for w := 4; w < 8; w++ {
-		e := &p.entries[w]
-		if e.valid && !e.delta {
+		if p.tags.Live(w) && !p.entries[w].delta {
 			t.Error("narrow way holds a pointer entry after retrain")
 		}
 	}
