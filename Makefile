@@ -5,14 +5,8 @@
 
 GO ?= go
 
-# Minimum statement coverage of each COVER_PKGS package, enforced by
-# `make cover`.
+# Minimum statement coverage of each package `make cover` gates.
 COVER_MIN ?= 80.0
-
-# Packages gated by `make cover`: the BTB design packages, and the two
-# designs built on their internals (Shotgun's two Baselines and the
-# two-level BTB).
-COVER_PKGS ?= ./internal/btb/ ./internal/pdede/ ./internal/shotgun/ ./internal/multilevel/
 
 # Coverage profile destination: a temp path by default so `make cover` never
 # litters (or accidentally commits) a profile into the work tree.
@@ -100,12 +94,14 @@ fuzz:
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
 
-# Statement coverage of each COVER_PKGS package, gated at COVER_MIN: the
-# audit/oracle work exists to keep these structures honest, so their own
-# test coverage must not rot. The awk pass sums the profile's statement
-# blocks per package directory, as `go test -cover` does.
+# Statement coverage of the BTB design packages and of the two designs
+# built on their internals (Shotgun's two Baselines, the two-level BTB),
+# each package gated at COVER_MIN: the audit/oracle work exists to keep
+# these structures honest, so their own test coverage must not rot. The
+# awk pass sums the profile's statement blocks per package directory, as
+# `go test -cover` does.
 cover:
-	$(GO) test -coverprofile=$(COVERPROFILE) $(COVER_PKGS)
+	$(GO) test -coverprofile=$(COVERPROFILE) ./internal/btb/ ./internal/pdede/ ./internal/shotgun/ ./internal/multilevel/
 	@awk -v min="$(COVER_MIN)" ' \
 		NR == 1 { next } \
 		{ pkg = $$1; sub(/\/[^\/]*$$/, "", pkg); if (!(pkg in n)) order[++k] = pkg; \
