@@ -58,12 +58,12 @@ func (t TagWords) Tag(i int) addr.Tag { return addr.Tag(t[i]) }
 // that carry the same tag; ok is false when the window's tags are unique.
 func (t TagWords) Twice(base, ways int) (w, w2 int, ok bool) {
 	set := t[base : base+ways]
-	for w, st := range set {
-		if st == freeWay {
+	for w = range set {
+		if set[w] == freeWay {
 			continue
 		}
-		for w2 := w + 1; w2 < len(set); w2++ {
-			if set[w2] == st {
+		for w2 = w + 1; w2 < len(set); w2++ {
+			if set[w2] == set[w] {
 				return w, w2, true
 			}
 		}
