@@ -81,8 +81,9 @@ race:
 # Short coverage-guided fuzz sessions (each seed corpus also runs as a plain
 # test inside `make test`): the v1 trace decoder, the .pdtz v2 round trip,
 # the ChampSim and perf script ingestion adapters, the 57-bit VA component
-# algebra, PDede's delta encode/decode path, and pdede-serve's two untrusted
-# inputs: HTTP batch bodies and checkpoint files.
+# algebra, PDede's delta encode/decode path, the cache model against its
+# stamp-LRU reference, and pdede-serve's two untrusted inputs: HTTP batch
+# bodies and checkpoint files.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzPdtzRoundTrip -fuzztime $(FUZZTIME)
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/addr/ -fuzz FuzzComponentRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/addr/ -fuzz FuzzBuildDecompose -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pdede/ -fuzz FuzzDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache/ -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
 

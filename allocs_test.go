@@ -13,7 +13,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/btb"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -156,6 +158,26 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 			return func() {
 				for ptr := 0; ptr < allocChunk; ptr++ {
 					sinkU64, sinkBool = tab.Get(ptr)
+				}
+			}
+		}},
+		{"cache.Cache.AccessRange-ICache", func(t *testing.T) func() {
+			p := core.Icelake()
+			return fetchBlocks(warmCache(t, p.ICacheBytes, p.ICacheWays, recs), recs)
+		}},
+		{"cache.Cache.AccessRange-L2", func(t *testing.T) func() {
+			p := core.Icelake()
+			return fetchBlocks(warmCache(t, p.L2Bytes, p.L2Ways, recs), recs)
+		}},
+		{"predictor.TAGE.Predict+Update", func(t *testing.T) func() {
+			tage := warmTAGE(t, recs)
+			next := cycle(recs)
+			return func() {
+				for i := 0; i < allocChunk; i++ {
+					if r := next(); r.Kind.IsConditional() {
+						sinkBool = tage.Predict(r.PC)
+						tage.Update(r.PC, r.Taken)
+					}
 				}
 			}
 		}},
@@ -356,6 +378,54 @@ func warmDedup(t *testing.T, recs []isa.Branch) *btb.DedupTable {
 		tab.FindOrInsert(uint64(r.Target))
 	}
 	return tab
+}
+
+// blockStart is the address of the first instruction of r's basic block.
+func blockStart(r isa.Branch) addr.VA {
+	return r.PC.Add(-uint64(r.BlockLen-1) * isa.InstrBytes)
+}
+
+// warmCache returns a cache of the given capacity and ways, with Icelake's
+// line size, that has already fetched every block of the trace once.
+func warmCache(t *testing.T, bytes, ways int, recs []isa.Branch) *cache.Cache {
+	t.Helper()
+	c, err := cache.New(bytes, ways, core.Icelake().ICacheLineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		c.AccessRange(blockStart(r), r.PC)
+	}
+	return c
+}
+
+// fetchBlocks returns a run that fetches the next allocChunk blocks of the
+// trace through c, as the frontend does.
+func fetchBlocks(c *cache.Cache, recs []isa.Branch) func() {
+	next := cycle(recs)
+	return func() {
+		for i := 0; i < allocChunk; i++ {
+			r := next()
+			sinkInt = c.AccessRange(blockStart(r), r.PC)
+		}
+	}
+}
+
+// warmTAGE returns the frontend's default TAGE after it has predicted and
+// learnt every conditional of the trace once.
+func warmTAGE(t *testing.T, recs []isa.Branch) *predictor.TAGE {
+	t.Helper()
+	tage, err := predictor.NewTAGE(predictor.DefaultTAGEConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Kind.IsConditional() {
+			tage.Predict(r.PC)
+			tage.Update(r.PC, r.Taken)
+		}
+	}
+	return tage
 }
 
 func warmBimodal(t *testing.T, recs []isa.Branch) *predictor.Bimodal {

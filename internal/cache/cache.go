@@ -5,34 +5,46 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/addr"
 )
 
-// Cache is a set-associative cache with LRU replacement, tracking only
-// presence (tags), which is all an instruction-fetch timing model needs.
+// lineValid marks a live line's tag word; a free line's word is 0. VAs
+// have addr.VABits bits, so no tag reaches bit 63 and the two never meet.
+const lineValid = 1 << 63
+
+// maxWays is the most ways an order byte can name.
+const maxWays = 256
+
+// Cache is a set-associative cache with exact LRU replacement, tracking
+// only presence (tags), which is all an instruction-fetch timing model
+// needs. Its state is two slices, one word and one byte per line:
+//
+//   - tags holds each line's tag word, lineValid|tag when live;
+//   - order holds each set's ways from most to least recently used.
+//
+// Nothing frees a line, and a miss fills the lowest-index free way, so a
+// set with k live lines holds them in ways 0..k-1 and lists them in the
+// first k bytes of its order; the rest of its order is zero padding.
 type Cache struct {
-	sets      int
 	ways      int
 	lineShift uint
 	setShift  uint // log2(sets), hoisted out of the per-access tag split
 	indexMask uint64
 
 	tags  []uint64
-	valid []bool
-	stamp []uint64
-	clock uint64
-	// last caches each set's most recent hit (or fill) way: instruction
-	// fetch revisits the same lines heavily, so most accesses resolve
-	// without scanning the set.
-	last []int32
+	order []uint8
 }
 
 // New builds a cache of totalBytes capacity with the given associativity
-// and line size (both powers of two).
+// (at most 256) and line size (both powers of two).
 func New(totalBytes, ways, lineBytes int) (*Cache, error) {
 	if totalBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry")
+	}
+	if ways > maxWays {
+		return nil, fmt.Errorf("cache: %d ways, over the %d an order byte can name", ways, maxWays)
 	}
 	if lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: line size %d not a power of two", lineBytes)
@@ -46,61 +58,64 @@ func New(totalBytes, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: sets %d not a power of two", sets)
 	}
 	return &Cache{
-		sets:      sets,
 		ways:      ways,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		indexMask: uint64(sets - 1),
 		tags:      make([]uint64, lines),
-		valid:     make([]bool, lines),
-		stamp:     make([]uint64, lines),
-		last:      make([]int32, sets),
+		order:     make([]uint8, lines),
 	}, nil
 }
 
-// line splits an address into set and tag.
+// line splits an address into the first line of its set and its tag word.
 func (c *Cache) line(a addr.VA) (int, uint64) {
 	l := uint64(a) >> c.lineShift
-	return int(l & c.indexMask), l >> c.setShift
+	return int(l&c.indexMask) * c.ways, lineValid | l>>c.setShift
 }
 
 // Access touches the line holding a, allocating it on a miss. It returns
 // whether the access hit.
 func (c *Cache) Access(a addr.VA) bool {
-	set, tag := c.line(a)
-	base := set * c.ways
-	c.clock++
-	// Fast path: the set's most recent hit way (the common case for
+	base, word := c.line(a)
+	// Fast path: the set's most recently used way (the common case for
 	// instruction fetch, which re-touches the same lines block after block).
-	if i := base + int(c.last[set]); c.valid[i] && c.tags[i] == tag {
-		c.stamp[i] = c.clock
+	// A hit there leaves the recency order as it is.
+	if c.tags[base+int(c.order[base])] == word {
 		return true
 	}
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stamp[base+w] = c.clock
-			c.last[set] = int32(w)
+	tags := c.tags[base : base+c.ways]
+	order := c.order[base : base+c.ways]
+	for w, t := range tags {
+		if t == word {
+			touch(order, uint8(w))
 			return true
 		}
-	}
-	// Miss: fill into invalid or LRU way.
-	victim := base
-	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			victim = base + w
-			break
-		}
-		if c.stamp[base+w] < oldest {
-			oldest = c.stamp[base+w]
-			victim = base + w
+		if t == 0 {
+			// Ways w and up are all free: fill the lowest-index one.
+			tags[w] = word
+			touch(order, uint8(w))
+			return false
 		}
 	}
-	c.valid[victim] = true
-	c.tags[victim] = tag
-	c.stamp[victim] = c.clock
-	c.last[set] = int32(victim - base)
+	// A full set: refill its least recently used way.
+	victim := order[len(order)-1]
+	tags[victim] = word
+	touch(order, victim)
 	return false
+}
+
+// touch makes way w the first of order, moving the ways before it down one
+// place. For a way that order does not list yet (a fill of a free way) it
+// shifts the whole list, dropping the last byte, which is padding then.
+func touch(order []uint8, w uint8) {
+	prev := w
+	for i, o := range order {
+		order[i] = prev
+		if o == w {
+			return
+		}
+		prev = o
+	}
 }
 
 // Clone returns a deep copy of the cache: the clone and the receiver share
@@ -108,42 +123,23 @@ func (c *Cache) Access(a addr.VA) bool {
 // snapshot of warmed state must be.
 func (c *Cache) Clone() *Cache {
 	d := *c
-	d.tags = append([]uint64(nil), c.tags...)
-	d.valid = append([]bool(nil), c.valid...)
-	d.stamp = append([]uint64(nil), c.stamp...)
-	d.last = append([]int32(nil), c.last...)
+	d.tags = slices.Clone(c.tags)
+	d.order = slices.Clone(c.order)
 	return &d
 }
 
 // Contains reports presence without updating replacement state.
 func (c *Cache) Contains(a addr.VA) bool {
-	set, tag := c.line(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
+	base, word := c.line(a)
+	return slices.Contains(c.tags[base:base+c.ways], word)
 }
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 
-// Reset empties the cache.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.clock = 0
-}
-
-// AccessRange touches every line overlapping [lo, hi] and returns the
-// number of misses. The frontend uses it to fetch a basic block.
+// AccessRange touches every line overlapping [lo, hi], lo <= hi, and
+// returns the number of misses. The frontend uses it to fetch a basic block.
 func (c *Cache) AccessRange(lo, hi addr.VA) int {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
 	misses := 0
 	lineBytes := uint64(1) << c.lineShift
 	for a := uint64(lo) &^ (lineBytes - 1); a <= uint64(hi); a += lineBytes {

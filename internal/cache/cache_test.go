@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/addr"
@@ -24,10 +25,13 @@ func TestBasicHitMiss(t *testing.T) {
 }
 
 func TestGeometryValidation(t *testing.T) {
-	for _, g := range [][3]int{{0, 4, 64}, {4096, 4, 60}, {4096, 3, 64}, {1000, 4, 64}} {
+	for _, g := range [][3]int{{0, 4, 64}, {4096, 4, 60}, {4096, 3, 64}, {1000, 4, 64}, {512 * 64, 512, 64}} {
 		if _, err := New(g[0], g[1], g[2]); err == nil {
 			t.Errorf("geometry %v accepted", g)
 		}
+	}
+	if _, err := New(256*64, 256, 64); err != nil {
+		t.Errorf("256 ways, the most an order byte can name, rejected: %v", err)
 	}
 }
 
@@ -83,16 +87,6 @@ func TestAccessRange(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c, _ := New(4096, 4, 64)
-	a := addr.Build(1, 2, 0)
-	c.Access(a)
-	c.Reset()
-	if c.Contains(a) {
-		t.Error("line survived reset")
-	}
-}
-
 func TestCapacityBehaviour(t *testing.T) {
 	// 32 KiB, 8-way, 64B lines: 512 lines. A 1024-line working set thrashes;
 	// a 256-line set fits.
@@ -144,4 +138,140 @@ func TestCloneIsDeep(t *testing.T) {
 			t.Fatalf("parent diverged from twin after clone mutation at access %d", i)
 		}
 	}
+}
+
+// refCache is the stamp-LRU cache the tag-word and recency-order layout
+// replaced, kept as the reference FuzzCacheMatchesReference compares
+// against: each line has a tag, a valid flag and the clock value of its
+// last access, and a miss fills the first invalid way, else the way with
+// the oldest stamp.
+type refCache struct {
+	ways                int
+	lineShift, setShift uint
+	indexMask           uint64
+
+	tags  []uint64
+	valid []bool
+	stamp []uint64
+	clock uint64
+}
+
+func newRefCache(totalBytes, ways, lineBytes int) *refCache {
+	lines := totalBytes / lineBytes
+	sets := lines / ways
+	return &refCache{
+		ways:      ways,
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		indexMask: uint64(sets - 1),
+		tags:      make([]uint64, lines),
+		valid:     make([]bool, lines),
+		stamp:     make([]uint64, lines),
+	}
+}
+
+func (r *refCache) line(a addr.VA) (int, uint64) {
+	l := uint64(a) >> r.lineShift
+	return int(l&r.indexMask) * r.ways, l >> r.setShift
+}
+
+func (r *refCache) access(a addr.VA) bool {
+	base, tag := r.line(a)
+	r.clock++
+	for w := base; w < base+r.ways; w++ {
+		if r.valid[w] && r.tags[w] == tag {
+			r.stamp[w] = r.clock
+			return true
+		}
+	}
+	victim, oldest := base, ^uint64(0)
+	for w := base; w < base+r.ways; w++ {
+		if !r.valid[w] {
+			victim = w
+			break
+		}
+		if r.stamp[w] < oldest {
+			victim, oldest = w, r.stamp[w]
+		}
+	}
+	r.valid[victim], r.tags[victim], r.stamp[victim] = true, tag, r.clock
+	return false
+}
+
+func (r *refCache) contains(a addr.VA) bool {
+	base, tag := r.line(a)
+	for w := base; w < base+r.ways; w++ {
+		if r.valid[w] && r.tags[w] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) clone() *refCache {
+	d := *r
+	d.tags = append([]uint64(nil), r.tags...)
+	d.valid = append([]bool(nil), r.valid...)
+	d.stamp = append([]uint64(nil), r.stamp...)
+	return &d
+}
+
+// fuzzGeometry maps a fuzz byte to a 1- to 16-way cache of 1, 2 or 4 sets
+// and 64 B lines, and the address pool it is driven over: ways+2 lines
+// per set, so a set sees hits on its MRU way, hits on older ways and
+// evictions. Tags reach past bit 40, so the tag word's high bits matter.
+func fuzzGeometry(g uint8) (ways, sets int, pool []addr.VA) {
+	ways, sets = 1<<(g%5), 1<<(g/5%3)
+	for j := 0; j < ways+2; j++ {
+		tag := uint64(j) | uint64(j)<<40
+		for s := 0; s < sets; s++ {
+			line := tag<<bits.TrailingZeros(uint(sets)) | uint64(s)
+			pool = append(pool, addr.New(line<<6|uint64(j*s*7)%64))
+		}
+	}
+	return ways, sets, pool
+}
+
+// FuzzCacheMatchesReference drives Cache and refCache with the same
+// accesses and requires the same hit or miss on every one, the same
+// Contains answer for every pool line after every one, and the same again
+// from Clones taken halfway and driven with the second half.
+func FuzzCacheMatchesReference(f *testing.F) {
+	for _, ways := range []uint8{0, 1, 2, 3, 4} { // 1 to 16 ways
+		for _, sets := range []uint8{0, 5} { // one or two sets
+			ops := make([]byte, 256)
+			x := uint32(ways)*31 + uint32(sets) + 1
+			for i := range ops {
+				x = x*1103515245 + 12345
+				ops[i] = byte(x >> 16)
+			}
+			f.Add(ways+sets, ops)
+		}
+	}
+	f.Fuzz(func(t *testing.T, g uint8, ops []byte) {
+		ways, sets, pool := fuzzGeometry(g)
+		c, err := New(ways*sets*64, ways, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefCache(ways*sets*64, ways, 64)
+		drive := func(c *Cache, ref *refCache, ops []byte) {
+			for i, op := range ops {
+				a := pool[int(op)%len(pool)]
+				if got, want := c.Access(a), ref.access(a); got != want {
+					t.Fatalf("%d-way, %d-set: access %d to %#x hit=%v, reference %v", ways, sets, i, uint64(a), got, want)
+				}
+				for _, p := range pool {
+					if got, want := c.Contains(p), ref.contains(p); got != want {
+						t.Fatalf("%d-way, %d-set: after access %d, Contains(%#x)=%v, reference %v", ways, sets, i, uint64(p), got, want)
+					}
+				}
+			}
+		}
+		half := len(ops) / 2
+		drive(c, ref, ops[:half])
+		cc, cref := c.Clone(), ref.clone()
+		drive(c, ref, ops[half:])
+		drive(cc, cref, ops[half:])
+	})
 }

@@ -72,7 +72,13 @@ func newFrontend(p *Params, dir predictor.Direction, withRAS bool) (frontend, er
 func (f *frontend) step(b isa.Branch) warmRec {
 	var rec warmRec
 
-	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
+	span := uint64(b.BlockLen-1) * isa.InstrBytes
+	blockStart := b.PC.Add(-span)
+	if uint64(b.PC) < span {
+		// An untrusted record can claim a block that starts below address
+		// 0; unclamped, its start wraps to the top of the address space.
+		blockStart = 0
+	}
 	misses := f.ic.AccessRange(blockStart, b.PC)
 	rec.misses = uint16(misses)
 	if misses > 0 && f.l2.AccessRange(blockStart, b.PC) > 0 {

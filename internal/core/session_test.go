@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/btb"
@@ -171,5 +172,38 @@ func TestSessionAuditDetectsCorruption(t *testing.T) {
 	}
 	if applied == 0 || applied == 3000 {
 		t.Errorf("audit should stop mid-batch, consumed %d", applied)
+	}
+}
+
+// TestSessionApplyBlockBelowZero: a record whose block would start below
+// address 0 (PC 0x40, 100 instructions) is fetched from address 0 up to
+// its PC, two ICache lines. Its start used to wrap to the top of the
+// 57-bit space, where the ICache walked about 2^51 lines and Apply did not
+// return; the deadline turns that hang into a failure.
+func TestSessionApplyBlockBelowZero(t *testing.T) {
+	tp, err := btb.NewBaseline(btb.BaselineConfig{Entries: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewSession(Config{Params: Icelake(), BackendCPI: 0.5, BTB: tp}, "below-zero")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := isa.Branch{PC: 0x40, Target: 0x1000, BlockLen: 100, Kind: isa.CondDirect, Taken: true}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := se.Apply([]isa.Branch{rec})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Session.Apply of a block starting below address 0 did not return in 10 s")
+	}
+	if res := se.Snapshot(); res.ICacheMisses != 2 || res.Instructions != 100 {
+		t.Errorf("ICacheMisses %d, Instructions %d; want 2 and 100", res.ICacheMisses, res.Instructions)
 	}
 }

@@ -537,3 +537,54 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Errorf("batch while draining = %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestBlockBelowZeroIsAcked: a PDT1 batch whose last record claims a block
+// starting below address 0 (PC 0x40, 100 instructions) passes decoding, is
+// applied and acked, and leaves the tenant's digest equal to an offline
+// replay. Such a block used to wrap to the top of the address space and
+// spin its worker for good, holding the tenant's lock. The server runs on
+// its own goroutine so that a wedged worker fails the deadline instead of
+// hanging the test in Close.
+func TestBlockBelowZeroIsAcked(t *testing.T) {
+	cfg := testConfig(t)
+	recs := append(testRecords(t, 3, 200),
+		isa.Branch{PC: 0x40, Target: 0x1000, BlockLen: 100, Kind: isa.CondDirect, Taken: true})
+	type outcome struct {
+		ack *serve.BatchAck
+		st  *serve.TenantStats
+		err error
+	}
+	run := func() (o outcome) {
+		s, err := serve.New(cfg)
+		if err != nil {
+			return outcome{err: err}
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			s.Close()
+		}()
+		c := newTestClient(ts.URL)
+		if o.ack, o.err = c.SendBatch(context.Background(), "wrapped", 1, recs); o.err == nil {
+			o.st, o.err = c.Stats(context.Background(), "wrapped")
+		}
+		return o
+	}
+	done := make(chan outcome, 1)
+	go func() { done <- run() }()
+	var o outcome
+	select {
+	case o = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a batch with a block starting below address 0 was not acked in 10 s")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if o.ack.Records != len(recs) {
+		t.Errorf("ack applied %d records, want %d", o.ack.Records, len(recs))
+	}
+	if wantDigest, _ := offlineDigest(t, cfg, "wrapped", recs); o.st.Digest != wantDigest {
+		t.Errorf("digest %s != offline %s", o.st.Digest, wantDigest)
+	}
+}
