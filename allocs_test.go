@@ -233,65 +233,137 @@ var coreModels = []struct {
 	pipe bool
 }{{"analytic", false}, {"pipeline", true}}
 
+// lengthDesigns returns the designs a run-level allocation test covers
+// under one core model. The analytic model runs every DiffDesigns design,
+// Baseline under the three replacement policies besides SRRIP that
+// Baseline.victim dispatches to (ext-repl runs them), and PDede-ME with
+// ITTAGE serving indirect branches; the pipeline model runs PDede-ME.
+func lengthDesigns(pipe bool) []experiments.Design {
+	me := experiments.PDedeDesign(experiments.NameMultiEntry, pdede.MultiEntryConfig())
+	if pipe {
+		return []experiments.Design{me}
+	}
+	ds := experiments.DiffDesigns()
+	for _, p := range []btb.PolicyKind{btb.PolicyLRU, btb.PolicyRandom, btb.PolicyGHRP} {
+		ds = append(ds, experiments.Design{Name: "baseline-4K-" + p.String(), New: func() (btb.TargetPredictor, error) {
+			return btb.NewBaseline(btb.BaselineConfig{Entries: 4096, Policy: p})
+		}})
+	}
+	return append(ds, experiments.WithITTAGE(me))
+}
+
+// forEachLengthCase runs check as a subtest per core model and, within it,
+// per lengthDesigns design, given a config holding a fresh predictor.
+func forEachLengthCase(t *testing.T, check func(t *testing.T, cfg core.Config)) {
+	for _, model := range coreModels {
+		t.Run(model.name, func(t *testing.T) {
+			for _, d := range lengthDesigns(model.pipe) {
+				t.Run(d.Name, func(t *testing.T) {
+					tp, err := d.New()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: tp, UsePipeline: model.pipe}
+					if d.Mod != nil {
+						d.Mod(&cfg)
+					}
+					check(t, cfg)
+				})
+			}
+		})
+	}
+}
+
+// lengthSlackBytes is how many more bytes a run over 4n records may
+// allocate than one over n. On go1.24, linux/amd64, every row's two
+// lengths read within 22 B of each other (go test -v prints them); the
+// bound leaves room for noise and stays under one byte for each of the
+// 3n = 36,864 extra records.
+const lengthSlackBytes = 2048
+
+// lengthRuns is how many runs runCost averages over: fewer than allocRuns,
+// because each run here is a whole simulation.
+const lengthRuns = 10
+
+// runCost returns the heap allocations and bytes of one f() run, averaged
+// over lengthRuns runs after a warm-up run, the way testing.AllocsPerRun
+// counts allocations. The integer average hides an amortised append, which
+// allocates only about log n times in n calls; its bytes grow with n.
+// Callers must not be parallel: the counters are process-wide.
+func runCost(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < lengthRuns; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / lengthRuns, (after.TotalAlloc - before.TotalAlloc) / lengthRuns
+}
+
+// checkLength requires cost, a run over m records, to allocate as many
+// times for 4n records as for n, and at most lengthSlackBytes more bytes.
+func checkLength(t *testing.T, what string, n int, cost func(m int) (allocs, bytes uint64)) {
+	t.Helper()
+	shortA, shortB := cost(n)
+	longA, longB := cost(4 * n)
+	t.Logf("%s: %d allocs, %d B for %d records; %d allocs, %d B for %d", what, shortA, shortB, n, longA, longB, 4*n)
+	if shortA != longA {
+		t.Errorf("%s: %d allocs for %d records, %d for %d", what, shortA, n, longA, 4*n)
+	}
+	if longB > shortB+lengthSlackBytes {
+		t.Errorf("%s: %d B for %d records, %d B for %d, over the %d B slack",
+			what, shortB, n, longB, 4*n, lengthSlackBytes)
+	}
+}
+
 // TestRunContextAllocsIndependentOfLength: core.RunContext allocates its
 // session and its two-stage ring once per run, so a trace four times as
-// long costs no extra allocations.
+// long costs no extra allocations and no extra bytes.
 func TestRunContextAllocsIndependentOfLength(t *testing.T) {
 	const n = 3 << 12 // three of RunContext's record batches
 	recs := benchBranches(200_000)
 	if len(recs) < 4*n {
 		t.Fatalf("trace has %d records, need %d", len(recs), 4*n)
 	}
-	pd := warmPDede(t, recs)
-	for _, model := range coreModels {
-		t.Run(model.name, func(t *testing.T) {
-			cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd, UsePipeline: model.pipe}
-			allocs := func(m int) float64 {
-				src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
-				return testing.AllocsPerRun(allocRuns, func() {
-					if _, err := core.RunContext(context.Background(), cfg, src); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			if short, long := allocs(n), allocs(4*n); short != long {
-				t.Errorf("RunContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
-			}
+	forEachLengthCase(t, func(t *testing.T, cfg core.Config) {
+		checkLength(t, "RunContext", n, func(m int) (uint64, uint64) {
+			src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
+			return runCost(func() {
+				if _, err := core.RunContext(context.Background(), cfg, src); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
-	}
+	})
 }
 
 // TestRunWarmContextAllocsIndependentOfLength: the frontend log a warm run
 // replays is allocated once per app, by core.WarmupContext; the run itself
 // allocates its session and one record batch, so a trace four times as
-// long costs it no extra allocations.
+// long costs it no extra allocations and no extra bytes.
 func TestRunWarmContextAllocsIndependentOfLength(t *testing.T) {
 	const n = 3 << 12 // three of RunWarmContext's record batches
 	recs := benchBranches(200_000)
 	if len(recs) < 4*n {
 		t.Fatalf("trace has %d records, need %d", len(recs), 4*n)
 	}
-	pd := warmPDede(t, recs)
-	for _, model := range coreModels {
-		t.Run(model.name, func(t *testing.T) {
-			cfg := core.Config{Params: core.Icelake(), BackendCPI: 0.5, BTB: pd, WarmupInstrs: 1000, UsePipeline: model.pipe}
-			allocs := func(m int) float64 {
-				src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
-				warm, err := core.WarmupContext(context.Background(), cfg, src)
-				if err != nil {
+	forEachLengthCase(t, func(t *testing.T, cfg core.Config) {
+		cfg.WarmupInstrs = 1000
+		checkLength(t, "RunWarmContext", n, func(m int) (uint64, uint64) {
+			src := &trace.Memory{TraceName: "allocs", Records: recs[:m]}
+			warm, err := core.WarmupContext(context.Background(), cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runCost(func() {
+				if _, err := core.RunWarmContext(context.Background(), cfg, src, warm); err != nil {
 					t.Fatal(err)
 				}
-				return testing.AllocsPerRun(allocRuns, func() {
-					if _, err := core.RunWarmContext(context.Background(), cfg, src, warm); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			if short, long := allocs(n), allocs(4*n); short != long {
-				t.Errorf("RunWarmContext: %v allocs for %d records, %v for %d", short, n, long, 4*n)
-			}
+			})
 		})
-	}
+	})
 }
 
 // maxHostRatio bounds a design's host state against the storage it

@@ -1,20 +1,17 @@
-// pdede-lint is the repository's custom static-analysis suite: eight
+// pdede-lint is the repository's custom static-analysis suite: six
 // analyzers that enforce at compile time the contracts the runtime
 // verification machinery (differential oracle, deep audits) checks at run
-// time.
+// time. Lookup purity and the allocation-free per-record path are witnessed
+// at run time instead, by the root package's purity_test.go and
+// allocs_test.go.
 //
 //	determinism   no wall clock, global rand, or order-sensitive map
 //	              iteration in simulation/report packages
-//	hotpath       //pdede:hot functions stay free of defer, closures,
-//	              append and interface boxing
 //	bitwidth      shift/mask literals match the declared address
 //	              component widths (57-bit VA, 12-bit offset, ...)
 //	auditcontract every BTB design implements btb.Auditable and is
 //	              registered for the oracle sweep
 //	atomicwrite   checkpoint/report files go through atomicio
-//	statepurity   Lookup paths write only //pdede:scratch fields
-//	              (wrong-path safety, via flowkit's interprocedural
-//	              write-set summaries)
 //	addrdomain    RegionID/PageNum/PageOffset/SetIndex/Tag values never
 //	              cross domains through conversions or comparisons
 //	guardedby     //pdede:guarded-by(mu) fields accessed only with the
@@ -47,20 +44,16 @@ import (
 	"repro/internal/analysis/bitwidth"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/guardedby"
-	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/lintkit"
-	"repro/internal/analysis/statepurity"
 )
 
 // suite is the full analyzer set, in report order.
 func suite() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		determinism.Analyzer,
-		hotpath.Analyzer,
 		bitwidth.Analyzer,
 		auditcontract.Analyzer,
 		atomicwrite.Analyzer,
-		statepurity.Analyzer,
 		addrdomain.Analyzer,
 		guardedby.Analyzer,
 	}

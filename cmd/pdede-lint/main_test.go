@@ -87,33 +87,6 @@ func FirstKey(m map[uint64]int) uint64 {
 		},
 	},
 	{
-		name:     "hotpath",
-		analyzer: "hotpath",
-		files: map[string]string{
-			"go.mod": "module seed\n\ngo 1.22\n",
-			"internal/btb/btb.go": `package btb
-
-func cleanup() {}
-
-//pdede:hot
-func Lookup(pc uint64) uint64 {
-	defer cleanup()
-	return pc
-}
-`,
-		},
-	},
-	{
-		// Interprocedural: the violation lives in a plain helper that only
-		// the //pdede:hot root's call-graph closure makes hot.
-		name:     "hotpath-interproc",
-		analyzer: "hotpath",
-		files: map[string]string{
-			"go.mod":              "module seed\n\ngo 1.22\n",
-			"internal/btb/btb.go": hotpathInterprocSeed,
-		},
-	},
-	{
 		name:     "bitwidth",
 		analyzer: "bitwidth",
 		files: map[string]string{
@@ -165,16 +138,6 @@ func Save(path string, data []byte) error {
 		},
 	},
 	{
-		// Corruption injection: a real architectural-field write seeded
-		// into a fixture copy of Baseline.Lookup.
-		name:     "statepurity",
-		analyzer: "statepurity",
-		files: map[string]string{
-			"go.mod":              "module seed\n\ngo 1.22\n",
-			"internal/btb/btb.go": statepuritySeed,
-		},
-	},
-	{
 		name:     "addrdomain",
 		analyzer: "addrdomain",
 		files: map[string]string{
@@ -210,56 +173,6 @@ func Mix(r addr.RegionID) addr.PageNum {
 		},
 	},
 }
-
-// hotpathInterprocSeed hides the defer two calls below the //pdede:hot
-// root: only the interprocedural closure finds it.
-const hotpathInterprocSeed = `package btb
-
-func cleanup() {}
-
-func slowProbe(pc uint64) uint64 {
-	defer cleanup()
-	return pc
-}
-
-func probe(pc uint64) uint64 {
-	return slowProbe(pc)
-}
-
-//pdede:hot
-func Lookup(pc uint64) uint64 {
-	return probe(pc)
-}
-`
-
-// statepuritySeed is a fixture copy of Baseline.Lookup with the
-// architectural write left in.
-const statepuritySeed = `package btb
-
-type entry struct {
-	tag    uint64
-	target uint64
-	valid  bool
-}
-
-type Baseline struct {
-	entries []entry
-
-	//pdede:scratch
-	memoOK bool
-}
-
-func (b *Baseline) Lookup(pc uint64) (uint64, bool) {
-	set := pc % uint64(len(b.entries))
-	b.memoOK = true
-	e := &b.entries[set]
-	if e.valid && e.tag == pc {
-		e.target = pc + 4 // the corruption: a lookup rewriting an entry
-		return e.target, true
-	}
-	return 0, false
-}
-`
 
 // guardedbySeed is a fixture checkpoint whose guarded map is read without
 // the mutex.
@@ -326,8 +239,8 @@ func captureStdout(t *testing.T, f func()) []byte {
 // the exit-status contract unchanged.
 func TestJSONOutput(t *testing.T) {
 	root := linttest.WriteModule(t, map[string]string{
-		"go.mod":              "module seed\n\ngo 1.22\n",
-		"internal/btb/btb.go": statepuritySeed,
+		"go.mod":                             "module seed\n\ngo 1.22\n",
+		"internal/experiments/checkpoint.go": guardedbySeed,
 	})
 	var exit int
 	out := captureStdout(t, func() {
@@ -344,8 +257,8 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatal("-json output empty on a seeded violation")
 	}
 	d := diags[0]
-	if d.Analyzer != "statepurity" || d.File == "" || d.Line == 0 ||
-		!strings.Contains(d.Message, "writes architectural state") {
+	if d.Analyzer != "guardedby" || d.File == "" || d.Line == 0 ||
+		!strings.Contains(d.Message, "guarded by c.mu") {
 		t.Fatalf("malformed diagnostic: %+v", d)
 	}
 
@@ -396,24 +309,15 @@ func TestVettoolProtocol(t *testing.T) {
 		t.Fatalf("building pdede-lint: %v\n%s", err, out)
 	}
 
-	// One seeded module per analyzer family: the syntactic suite, the
-	// call-graph dataflow pass (statepurity), and the CFG lock-set pass
-	// (guardedby, whose fixture also exercises export-data loading for the
-	// sync import).
+	// One seeded module per analyzer family: the syntactic suite and the
+	// CFG lock-set pass (guardedby, whose fixture also exercises
+	// export-data loading for the sync import).
 	dirtyRuns := []struct {
 		name    string
 		files   map[string]string
 		message string
 	}{
 		{"determinism", seedCases[0].files, "nondeterministic map iteration"},
-		{"hotpath-interproc", map[string]string{
-			"go.mod":              "module seed\n\ngo 1.22\n",
-			"internal/btb/btb.go": hotpathInterprocSeed,
-		}, "on the //pdede:hot path via Lookup"},
-		{"statepurity", map[string]string{
-			"go.mod":              "module seed\n\ngo 1.22\n",
-			"internal/btb/btb.go": statepuritySeed,
-		}, "writes architectural state"},
 		{"guardedby", map[string]string{
 			"go.mod":                             "module seed\n\ngo 1.22\n",
 			"internal/experiments/checkpoint.go": guardedbySeed,

@@ -36,7 +36,6 @@ import (
 var Scope = []string{
 	"internal/experiments",
 	"internal/serve",
-	"cmd/pdede-analyze",
 	"cmd/pdede-experiments",
 	"cmd/pdede-serve",
 	"cmd/pdede-sim",

@@ -57,7 +57,6 @@ var ReportScope = []string{
 	"internal/metrics",
 	"internal/experiments",
 	"internal/serve",
-	"cmd/pdede-analyze",
 	"cmd/pdede-experiments",
 	"cmd/pdede-serve",
 	"cmd/pdede-sim",

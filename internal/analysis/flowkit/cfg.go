@@ -1,19 +1,13 @@
 // Package flowkit is a small intraprocedural dataflow toolkit built only on
-// go/ast and go/types, the flow-sensitive layer beneath the dataflow
-// analyzers (statepurity, guardedby, addrdomain). It provides:
+// go/ast and go/types, the flow-sensitive layer beneath the guardedby
+// analyzer. It provides:
 //
 //   - a control-flow graph builder over function bodies (New), covering the
 //     structured statements the simulator uses: if/for/range/switch/type
 //     switch/select, labeled break/continue/goto, and early returns;
 //   - a must-hold forward dataflow over the CFG (MustHold) — the lock-set
 //     engine behind guardedby, with intersection at joins so a fact only
-//     survives if it holds on *every* path;
-//   - flow-insensitive def/use collection (CollectAliases, ResolvePath) that
-//     tracks which locals alias fields of a receiver or parameter — the
-//     write-taint engine behind statepurity;
-//   - a type-based in-package call graph (BuildCallGraph) with
-//     class-hierarchy resolution of interface calls against the package's
-//     own concrete types.
+//     survives if it holds on *every* path.
 //
 // Everything is per-package by design: the `go vet -vettool` protocol hands
 // a tool one package's syntax plus export data for its dependencies, so no

@@ -214,124 +214,6 @@ func TestMustHoldEntryPrecondition(t *testing.T) {
 	}
 }
 
-const aliasSrc = `package p
-
-type entry struct {
-	tag    uint64
-	target uint64
-}
-
-type table struct {
-	entries []entry
-	memo    uint64
-}
-
-func (t *table) touch(i int, v uint64) {
-	e := &t.entries[i]
-	e.target = v
-	t.memo = v
-	var local uint64
-	local = v
-	_ = local
-}
-`
-
-func TestCollectAliasesAndResolve(t *testing.T) {
-	f, _, info := check(t, aliasSrc)
-	fd := fnDecl(t, f, "touch")
-	aliases := CollectAliases(fd, info)
-	if len(aliases) != 1 {
-		t.Fatalf("want 1 alias, got %d", len(aliases))
-	}
-	var writes []*Path
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.ASSIGN {
-			return true
-		}
-		if p, ok := ResolvePath(info, as.Lhs[0], aliases); ok {
-			writes = append(writes, p)
-		}
-		return true
-	})
-	if len(writes) != 3 {
-		t.Fatalf("want 3 resolved writes, got %d", len(writes))
-	}
-	// e.target = v must resolve through the alias to t.entries.target.
-	if got := writes[0]; got.Base.Name() != "t" || len(got.Fields) != 2 ||
-		got.Fields[0].Name() != "entries" || got.Fields[1].Name() != "target" {
-		t.Errorf("aliased write resolved to base %v fields %v", got.Base, got.Fields)
-	}
-	if got := writes[1]; got.Base.Name() != "t" || len(got.Fields) != 1 || got.Fields[0].Name() != "memo" {
-		t.Errorf("direct field write resolved to base %v fields %v", got.Base, got.Fields)
-	}
-	if got := writes[2]; got.Base.Name() != "local" || len(got.Fields) != 0 {
-		t.Errorf("local write resolved to base %v fields %v", got.Base, got.Fields)
-	}
-}
-
-const cgSrc = `package p
-
-type design interface {
-	Update(uint64)
-}
-
-type impl struct{ n uint64 }
-
-func (i *impl) Update(v uint64) { i.n = v }
-
-type other struct{}
-
-func (o other) Render() string { return "" }
-
-func helper(d design, v uint64) { d.Update(v) }
-
-func root(i *impl, v uint64) {
-	helper(i, v)
-	i.Update(v)
-}
-`
-
-func TestCallGraph(t *testing.T) {
-	f, pkg, info := check(t, cgSrc)
-	cg := BuildCallGraph([]*ast.File{f}, pkg, info)
-	if len(cg.Decls) != 4 {
-		t.Fatalf("want 4 decls, got %d", len(cg.Decls))
-	}
-	var rootFn, helperFn, updateFn *types.Func
-	for fn := range cg.Decls {
-		switch fn.Name() {
-		case "root":
-			rootFn = fn
-		case "helper":
-			helperFn = fn
-		case "Update":
-			updateFn = fn
-		}
-	}
-	reach := cg.Reachable([]*types.Func{rootFn})
-	if !reach[helperFn] {
-		t.Error("helper not reachable from root")
-	}
-	if !reach[updateFn] {
-		t.Error("Update not reachable from root (via CHA through design)")
-	}
-	// The dynamic call inside helper must resolve to impl.Update and be
-	// marked dynamic.
-	var dyn *Call
-	for i, c := range cg.Calls[helperFn] {
-		if c.Dynamic {
-			dyn = &cg.Calls[helperFn][i]
-		}
-	}
-	if dyn == nil {
-		t.Fatal("no dynamic call recorded in helper")
-	}
-	if len(dyn.Targets) != 1 || dyn.Targets[0] != updateFn {
-		t.Errorf("CHA targets = %v, want [impl.Update]", dyn.Targets)
-	}
-}
-
 func TestCFGCoversConstructs(t *testing.T) {
 	src := `package p
 

@@ -11,11 +11,11 @@
 //     shelling out to `go list -export` and reading the compiler's export
 //     data for dependencies — the same data `go vet` hands its tools.
 //   - directive handling for the repository's `//pdede:` comment
-//     directives (`//pdede:hot`, `//pdede:bitwidth-ok`, ...).
+//     directives (`//pdede:guarded-by(mu)`, `//pdede:bitwidth-ok`, ...).
 //
-// The concrete analyzers live in sibling packages (determinism, hotpath,
-// bitwidth, auditcontract, atomicwrite); cmd/pdede-lint drives them both
-// standalone and as a `go vet -vettool`.
+// The concrete analyzers live in sibling packages (determinism, bitwidth,
+// auditcontract, atomicwrite, addrdomain, guardedby); cmd/pdede-lint drives
+// them both standalone and as a `go vet -vettool`.
 package lintkit
 
 import (
@@ -102,7 +102,7 @@ func (p *Pass) InScope(suffixes []string) bool {
 // Directive is one parsed `//pdede:name args` comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "hot", "bitwidth-ok"
+	Name string // e.g. "guarded-by(mu)", "bitwidth-ok"
 	Args string // remainder of the line, space-trimmed
 }
 

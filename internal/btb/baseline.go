@@ -39,17 +39,11 @@ type Baseline struct {
 	// One-shot: every Update consumes or invalidates it, because updates
 	// mutate set contents. Scratch, not architectural: a wrong-path lookup
 	// overwriting the memo only costs the next Update a re-probe.
-	//
-	//pdede:scratch
-	memoPC addr.VA
-	//pdede:scratch
+	memoPC  addr.VA
 	memoSet addr.SetIndex
-	//pdede:scratch
 	memoTag addr.Tag
-	//pdede:scratch
 	memoWay int32 // matched way, -1 on miss
-	//pdede:scratch
-	memoOK bool
+	memoOK  bool
 
 	// storeReturns mirrors §5.7: if set, returns also allocate (no RAS).
 	storeReturns bool
@@ -128,8 +122,6 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 func (b *Baseline) Name() string { return b.name }
 
 // Lookup implements TargetPredictor.
-//
-//pdede:hot
 func (b *Baseline) Lookup(pc addr.VA) Lookup {
 	set, tag := addr.IndexTag(pc, b.indexBits, TagBits)
 	base := int(set) * b.ways
@@ -144,8 +136,6 @@ func (b *Baseline) Lookup(pc addr.VA) Lookup {
 // probe resolves pc's (set, tag, matched way), reusing the Lookup memo when
 // Update immediately follows Lookup for the same PC and re-deriving
 // otherwise. The memo is consumed either way: the caller mutates the set.
-//
-//pdede:hot
 func (b *Baseline) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 	if b.memoOK && b.memoPC == pc {
 		b.memoOK = false
@@ -159,8 +149,6 @@ func (b *Baseline) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) 
 // Update implements TargetPredictor. Taken branches allocate or retrain
 // their entry; the confidence counter arbitrates target replacement for
 // branches with multiple observed targets (indirects).
-//
-//pdede:hot
 func (b *Baseline) Update(br isa.Branch, prior Lookup) {
 	if !br.Taken {
 		return
@@ -211,7 +199,6 @@ func (b *Baseline) Update(br isa.Branch, prior Lookup) {
 	}
 }
 
-//pdede:hot
 func (b *Baseline) victim(set addr.SetIndex) int {
 	base := int(set) * b.ways
 	for w := 0; w < b.ways; w++ {

@@ -107,8 +107,6 @@ func (t *DedupTable) set(v uint64) int {
 // bounds check in the scan (both windows share the length end-base, so
 // one range loop covers both); the guard itself is unreachable under the
 // sets*ways = len construction invariant.
-//
-//pdede:hot
 func (t *DedupTable) Find(v uint64) (int, bool) {
 	s := t.set(v)
 	base := s * t.ways
@@ -129,8 +127,6 @@ func (t *DedupTable) Find(v uint64) (int, bool) {
 // FindOrInsert locates v, allocating (possibly evicting) if absent. evicted
 // reports whether a live value was displaced — the event that creates
 // dangling monitor pointers.
-//
-//pdede:hot
 func (t *DedupTable) FindOrInsert(v uint64) (ptr int, evicted bool) {
 	s := t.set(v)
 	base := s * t.ways
@@ -170,8 +166,6 @@ func (t *DedupTable) FindOrInsert(v uint64) (ptr int, evicted bool) {
 // The guard ranges ptr against both parallel arrays so the prove pass
 // elides the loads' bounds checks; this dereference sits on every
 // full-format Lookup and predictFrom, where it inlines.
-//
-//pdede:hot
 func (t *DedupTable) Get(ptr int) (uint64, bool) {
 	if ptr < 0 || ptr >= len(t.vals) || ptr >= len(t.valid) || !t.valid[ptr] {
 		return 0, false

@@ -32,17 +32,11 @@ type DedupBTB struct {
 	// immediately following Update of the same PC. One-shot. Scratch, not
 	// architectural: a wrong-path lookup overwriting it only costs a
 	// re-probe.
-	//
-	//pdede:scratch
-	memoPC addr.VA
-	//pdede:scratch
+	memoPC  addr.VA
 	memoSet addr.SetIndex
-	//pdede:scratch
 	memoTag addr.Tag
-	//pdede:scratch
 	memoWay int32
-	//pdede:scratch
-	memoOK bool
+	memoOK  bool
 }
 
 // dedupEntry is a live monitor way's payload, 8 bytes; its tag and valid
@@ -120,8 +114,6 @@ func NewDedupBTB(cfg DedupBTBConfig) (*DedupBTB, error) {
 func (d *DedupBTB) Name() string { return d.name }
 
 // Lookup implements TargetPredictor.
-//
-//pdede:hot
 func (d *DedupBTB) Lookup(pc addr.VA) Lookup {
 	set, tag := addr.IndexTag(pc, d.indexBits, TagBits)
 	base := int(set) * d.ways
@@ -139,8 +131,6 @@ func (d *DedupBTB) Lookup(pc addr.VA) Lookup {
 
 // probe resolves pc's (set, tag, matched way), reusing the Lookup memo when
 // Update immediately follows Lookup for the same PC (see Baseline.probe).
-//
-//pdede:hot
 func (d *DedupBTB) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 	if d.memoOK && d.memoPC == pc {
 		d.memoOK = false
@@ -152,8 +142,6 @@ func (d *DedupBTB) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) 
 }
 
 // Update implements TargetPredictor.
-//
-//pdede:hot
 func (d *DedupBTB) Update(br isa.Branch, prior Lookup) {
 	if !br.Taken || br.Kind.IsReturn() {
 		return

@@ -19,7 +19,7 @@ func quickRunner() *Runner {
 
 func TestOptionsNormalization(t *testing.T) {
 	o := Options{}.normalized()
-	if o.TotalInstrs == 0 || o.WarmupInstrs == 0 || o.Parallelism <= 0 {
+	if o.TotalInstrs == 0 || o.WarmupInstrs == 0 || o.Workers <= 0 {
 		t.Errorf("normalization left zeros: %+v", o)
 	}
 	o = Options{TotalInstrs: 100, WarmupInstrs: 200}.normalized()

@@ -19,15 +19,15 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite golden regression files")
 
 // goldenOptions pins a small, fast, fully deterministic suite: 4 apps
-// sampled across the categories, short windows, serial execution (the
-// runner is order-deterministic regardless, but serial keeps timings tame
-// in -race runs).
+// sampled across the categories, short windows, two workers (the runner is
+// order-deterministic at any worker count; two keep timings tame in -race
+// runs).
 func goldenOptions() Options {
 	return Options{
 		Apps:         4,
 		TotalInstrs:  300_000,
 		WarmupInstrs: 100_000,
-		Parallelism:  2,
+		Workers:      2,
 	}
 }
 

@@ -35,7 +35,7 @@ func tinyOpts(cat []workload.Config) Options {
 		Catalog:      cat,
 		TotalInstrs:  60_000,
 		WarmupInstrs: 20_000,
-		Parallelism:  2,
+		Workers:      2,
 	}
 }
 

@@ -40,14 +40,10 @@ type Options struct {
 	SelfCheckEvery uint64
 	// Workers sizes the pool that executes every unit of heavy work —
 	// trace builds, shared warmup passes, and (app, design) simulation
-	// cells (0 = Parallelism, then GOMAXPROCS). Cell outcomes are reduced
-	// in fixed suite order, so reports, goldens, checkpoints and Suite.Err
-	// are bit-identical for every worker count.
+	// cells (0 = GOMAXPROCS). Cell outcomes are reduced in fixed suite
+	// order, so reports, goldens, checkpoints and Suite.Err are
+	// bit-identical for every worker count.
 	Workers int
-	// Parallelism is the historical name for Workers. It is consulted only
-	// when Workers is 0, and normalized() rewrites it to match Workers so
-	// old readers keep seeing the effective bound.
-	Parallelism int
 	// ColdStart disables warm-state sharing: every (app, design) cell then
 	// simulates its whole trace, frontend and BTB, from cold, as the
 	// sequential runner always did. By default one frontend pass per app
@@ -131,12 +127,8 @@ func (o Options) normalized() Options {
 		o.WarmupInstrs = o.TotalInstrs / 2
 	}
 	if o.Workers <= 0 {
-		o.Workers = o.Parallelism
-	}
-	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.Parallelism = o.Workers
 	if o.Retries < 0 {
 		o.Retries = 0
 	}

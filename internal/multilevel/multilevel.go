@@ -52,8 +52,9 @@ func (t *TwoLevel) Lookup(pc addr.VA) btb.Lookup {
 	// branch — L0 stores raw PC→target pairs regardless of kind).
 	// The L0 is a microarchitectural cache of the architectural L1
 	// (§5.5), so this lookup-time fill is the filter hierarchy's defining,
-	// deliberate behaviour.
-	//pdede:statepurity-ok L0 promotion on L1 hit is the modelled design
+	// deliberate behaviour. L0 promotion on an L1 hit is the modelled
+	// design, so the Lookup purity witness (purity_test.go) exempts the
+	// hierarchy by name.
 	t.l0.Update(isa.Branch{
 		PC:       pc,
 		Target:   l1.Target,

@@ -190,10 +190,7 @@ type PDede struct {
 	// misses. Scratch by definition: the register is a one-lookup-deep
 	// prediction pipeline latch, re-armed on every Lookup, never part of
 	// the committed BTB image (StateDigest ignores it).
-	//
-	//pdede:scratch
-	ntArmed bool
-	//pdede:scratch
+	ntArmed  bool
 	ntOffset uint16
 
 	// Last BTBM set/way register ring (MultiTarget allocation path).
@@ -208,23 +205,15 @@ type PDede struct {
 	// One-shot: every Update consumes or invalidates it (updates mutate the
 	// set). Scratch: a wrong-path lookup clobbering it only costs a
 	// re-probe.
-	//
-	//pdede:scratch
-	memoPC addr.VA
-	//pdede:scratch
+	memoPC  addr.VA
 	memoSet addr.SetIndex
-	//pdede:scratch
 	memoTag addr.Tag
-	//pdede:scratch
 	memoWay int32 // matched way, -1 on miss
-	//pdede:scratch
-	memoOK bool
+	memoOK  bool
 
 	// Stats accumulates design-internal event counts since Reset.
 	// Observability counters, not predictor state: excluded from
 	// StateDigest and free for the prediction path to bump.
-	//
-	//pdede:scratch
 	Stats Stats
 }
 
@@ -310,8 +299,6 @@ func (p *PDede) Config() Config { return p.cfg }
 func (p *PDede) narrow(w int) bool { return w >= p.halfWays }
 
 // Lookup implements btb.TargetPredictor (§4.4.1).
-//
-//pdede:hot
 func (p *PDede) Lookup(pc addr.VA) btb.Lookup {
 	set, tag := addr.IndexTag(pc, p.indexBits, btb.TagBits)
 	base := int(set) * p.cfg.Ways
@@ -360,8 +347,6 @@ func (p *PDede) Lookup(pc addr.VA) btb.Lookup {
 }
 
 // Update implements btb.TargetPredictor (§4.4.2).
-//
-//pdede:hot
 func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 	if !br.Taken {
 		return
@@ -467,8 +452,6 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 // probe resolves pc's (set, tag, matched way), reusing the Lookup memo when
 // Update immediately follows Lookup for the same PC and re-deriving
 // otherwise. The memo is consumed either way: the caller mutates the set.
-//
-//pdede:hot
 func (p *PDede) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 	if p.memoOK && p.memoPC == pc {
 		p.memoOK = false
@@ -480,8 +463,6 @@ func (p *PDede) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 }
 
 // predictFrom reconstructs the target an entry currently encodes.
-//
-//pdede:hot
 func (p *PDede) predictFrom(e *entry, pc addr.VA) (addr.VA, bool) {
 	if e.delta {
 		return pc.WithOffset(addr.PageOffset(e.offset)), true
@@ -506,8 +487,6 @@ func (p *PDede) allocPartition(target addr.VA) (pagePtr, regionPtr int, ok bool)
 // use any way but prefer narrow ones (keeping full ways free for branches
 // that need pointers); different-page branches are restricted to full ways
 // (§4.4.2, MultiEntry).
-//
-//pdede:hot
 func (p *PDede) victim(set addr.SetIndex, samePage bool) int {
 	base := int(set) * p.cfg.Ways
 	if samePage {

@@ -124,7 +124,8 @@ func (s *Shotgun) prefetchAround(target addr.VA) {
 			// Shotgun's defining mechanism is prefetch-driven C-BTB
 			// fills on U-BTB hits (the BTB-directed prefetch model): the
 			// C-BTB is a prefetch buffer, not committed state.
-			//pdede:statepurity-ok lookup-time C-BTB installs are the design
+			// Lookup-time C-BTB installs are the design, so the Lookup
+			// purity witness (purity_test.go) exempts Shotgun by name.
 			s.cbtb.Update(isa.Branch{
 				PC:       ci.pc,
 				Target:   ci.target,
