@@ -51,11 +51,12 @@ vet:
 
 # Static analysis beyond vet, in three layers:
 #   1. cmd/pdede-lint — the repository's own analyzer suite (determinism,
-#      bitwidth, auditcontract, atomicwrite, addrdomain, guardedby; sources
-#      under internal/analysis). Pure stdlib, always runs. See DESIGN.md
-#      "Statically enforced invariants"; Lookup purity and the
-#      allocation-free per-record path are tested at run time instead
-#      (purity_test.go, allocs_test.go).
+#      atomicwrite, addrdomain, guardedby; sources under internal/analysis).
+#      Pure stdlib, always runs. See DESIGN.md "Statically enforced
+#      invariants"; Lookup purity, the allocation-free per-record path,
+#      design registration and the address-field widths are tested at run
+#      time instead (purity_test.go, allocs_test.go,
+#      TestDiffDesignsCoverEveryDesign, the addr fuzzers and the goldens).
 #   2. gofmt drift.
 #   3. staticcheck, at the pinned $(STATICCHECK_VERSION) — optional locally
 #      (skipped with a notice when not installed); the CI lint job installs

@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,35 +53,47 @@ func main() {
 	// All the work happens in run so its deferred cleanups (signal stop,
 	// report-file close, profile flush) execute before the process exits;
 	// os.Exit here would otherwise skip them.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() (code int) {
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("pdede-experiments", flag.ContinueOnError)
 	var (
-		run     = flag.String("run", "", "experiment id, comma-separated list, or 'all'")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		apps    = flag.Int("apps", 0, "number of applications (0 = all 102)")
-		instrs  = flag.Uint64("instrs", 3_500_000, "instructions per app")
-		warmup  = flag.Uint64("warmup", 1_500_000, "warmup instructions")
-		out     = flag.String("o", "", "also write the report to this file")
-		dump    = flag.String("dump-suite", "", "run the Figure 10 designs over the suite and write per-app JSON records to this file")
-		ckpt    = flag.String("checkpoint", "", "persist completed (app, design) results to this file and resume from it")
-		timeout = flag.Duration("timeout", 0, "per-app wall-clock budget across designs and retries (0 = none)")
-		retries = flag.Int("retries", 0, "extra attempts per app after a transient failure")
-		backoff = flag.Duration("retry-backoff", 100*time.Millisecond, "base retry delay (doubles per attempt, capped, jittered)")
-		keep    = flag.Bool("keep-going", false, "record per-app failures and keep sweeping instead of aborting on the first")
-		check   = flag.Bool("selfcheck", false, "deep-audit every design's internal invariants every few thousand records (slower; fails on the first violation)")
-		workers = flag.Int("workers", runtime.NumCPU(), "worker pool size for trace builds, shared frontend passes and (app, design) simulation cells; results are bit-identical for every value")
-		cold    = flag.Bool("cold-start", false, "disable the shared per-app frontend pass; every cell simulates its whole trace from cold (slower, bit-identical)")
-		verbose = flag.Bool("v", false, "log per-app progress to stderr")
+		runSpec = fs.String("run", "", "experiment id, comma-separated list, or 'all'")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		apps    = fs.Int("apps", 0, "number of applications (0 = all 102)")
+		instrs  = fs.Uint64("instrs", 3_500_000, "instructions per app")
+		warmup  = fs.Uint64("warmup", 1_500_000, "warmup instructions")
+		out     = fs.String("o", "", "also write the report to this file")
+		dump    = fs.String("dump-suite", "", "run the Figure 10 designs over the suite and write per-app JSON records to this file")
+		ckpt    = fs.String("checkpoint", "", "persist completed (app, design) results to this file and resume from it")
+		timeout = fs.Duration("timeout", 0, "per-app wall-clock budget across designs and retries (0 = none)")
+		retries = fs.Int("retries", 0, "extra attempts per app after a transient failure")
+		backoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base retry delay (doubles per attempt, capped, jittered)")
+		keep    = fs.Bool("keep-going", false, "record per-app failures and keep sweeping instead of aborting on the first")
+		check   = fs.Bool("selfcheck", false, "deep-audit every design's internal invariants every few thousand records (slower; fails on the first violation)")
+		workers = fs.Int("workers", runtime.NumCPU(), "worker pool size for trace builds, shared frontend passes and (app, design) simulation cells; results are bit-identical for every value")
+		cold    = fs.Bool("cold-start", false, "disable the shared per-app frontend pass; every cell simulates its whole trace from cold (slower, bit-identical)")
+		verbose = fs.Bool("v", false, "log per-app progress to stderr")
 
-		diffCheck = flag.Bool("check", false, "run the differential oracle over an ingested trace (-trace) for every diff-roster design")
-		traceIn   = flag.String("trace", "", "trace file for -check (pdt, pdtz, champsim, perf; optionally .gz)")
-		traceFrom = flag.String("from", "auto", "trace container format for -trace: auto, pdt, pdtz, champsim, perf")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
+		diffCheck = fs.Bool("check", false, "run the differential oracle over an ingested trace (-trace) for every diff-roster design")
+		traceIn   = fs.String("trace", "", "trace file for -check (pdt, pdtz, champsim, perf; optionally .gz)")
+		traceFrom = fs.String("from", "auto", "trace container format for -trace: auto, pdt, pdtz, champsim, perf")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Resolve every id before anything runs or -o is opened, so a typo
+	// neither truncates an existing report nor follows a full sweep.
+	ids, err := experimentIDs(*runSpec)
+	if err != nil {
+		return fail(err)
+	}
 
 	stopProfiles, err := profile.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -130,7 +143,7 @@ func run() (code int) {
 		return 0
 	}
 
-	if *list || *run == "" {
+	if *list || len(ids) == 0 {
 		fmt.Println("paper artifacts:")
 		for _, e := range pdedesim.Experiments() {
 			fmt.Printf("  %-12s %s\n", e.ID, e.Title)
@@ -139,7 +152,7 @@ func run() (code int) {
 		for _, e := range pdedesim.ExtensionExperiments() {
 			fmt.Printf("  %-12s %s\n", e.ID, e.Title)
 		}
-		if *run == "" {
+		if len(ids) == 0 {
 			fmt.Println("\nrun with: pdede-experiments -run <id>|all|ext")
 		}
 		return 0
@@ -156,22 +169,6 @@ func run() (code int) {
 		outFile = f
 		defer f.Close() // backstop for panics; the normal path closes below
 		w = io.MultiWriter(os.Stdout, f)
-	}
-
-	var ids []string
-	switch *run {
-	case "all":
-		for _, e := range pdedesim.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	case "ext":
-		for _, e := range pdedesim.ExtensionExperiments() {
-			ids = append(ids, e.ID)
-		}
-	default:
-		for _, id := range strings.Split(*run, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
 	}
 
 	exit := 0
@@ -201,6 +198,37 @@ func run() (code int) {
 		}
 	}
 	return exit
+}
+
+// experimentIDs resolves -run's value ("all", "ext" or a comma-separated
+// list) to experiment ids, rejecting any id that names no experiment. An
+// empty spec resolves to no ids.
+func experimentIDs(spec string) ([]string, error) {
+	var ids []string
+	switch spec {
+	case "":
+	case "all":
+		for _, e := range pdedesim.Experiments() {
+			ids = append(ids, e.ID)
+		}
+	case "ext":
+		for _, e := range pdedesim.ExtensionExperiments() {
+			ids = append(ids, e.ID)
+		}
+	default:
+		known := map[string]bool{}
+		for _, e := range append(pdedesim.Experiments(), pdedesim.ExtensionExperiments()...) {
+			known[e.ID] = true
+		}
+		for _, id := range strings.Split(spec, ",") {
+			id = strings.TrimSpace(id)
+			if !known[id] {
+				return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
+			}
+			ids = append(ids, id)
+		}
+	}
+	return ids, nil
 }
 
 // interrupted reports whether the signal context ended the run.

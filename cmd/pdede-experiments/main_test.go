@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestUnknownIDLeavesReportUntouched pins the -run contract: every id is
+// resolved before -o is opened or any experiment runs, so a mistyped id
+// exits 1 and an existing report keeps its bytes, even when valid ids come
+// first in the list.
+func TestUnknownIDLeavesReportUntouched(t *testing.T) {
+	for _, spec := range []string{"fig1O", "fig10,fig1O"} {
+		t.Run(spec, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "report.txt")
+			want := []byte("an earlier report\n")
+			if err := os.WriteFile(out, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := run([]string{"-run", spec, "-o", out, "-apps", "1", "-instrs", "20000", "-warmup", "5000"}); got != 1 {
+				t.Fatalf("-run %s exit %d, want 1", spec, got)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("-run %s rewrote -o: got %q, want %q", spec, got, want)
+			}
+		})
+	}
+}
+
+func TestExperimentIDs(t *testing.T) {
+	if ids, err := experimentIDs(""); err != nil || len(ids) != 0 {
+		t.Fatalf(`experimentIDs("") = %v, %v; want no ids`, ids, err)
+	}
+	ids, err := experimentIDs(" fig10 , ext-models")
+	if err != nil || len(ids) != 2 || ids[0] != "fig10" || ids[1] != "ext-models" {
+		t.Fatalf("experimentIDs(list) = %v, %v", ids, err)
+	}
+	for _, spec := range []string{"all", "ext"} {
+		if ids, err := experimentIDs(spec); err != nil || len(ids) == 0 {
+			t.Fatalf("experimentIDs(%q) = %v, %v", spec, ids, err)
+		}
+	}
+	if _, err := experimentIDs("fig10,"); err == nil {
+		t.Fatal("an empty id in the list was accepted")
+	}
+}

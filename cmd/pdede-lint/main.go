@@ -1,16 +1,12 @@
-// pdede-lint is the repository's custom static-analysis suite: six
+// pdede-lint is the repository's custom static-analysis suite: four
 // analyzers that enforce at compile time the contracts the runtime
 // verification machinery (differential oracle, deep audits) checks at run
-// time. Lookup purity and the allocation-free per-record path are witnessed
-// at run time instead, by the root package's purity_test.go and
-// allocs_test.go.
+// time. Lookup purity, the allocation-free per-record path, the
+// registration of every design in the oracle sweep and the address-field
+// widths are witnessed at run time instead (DESIGN.md §6.2's ledger).
 //
 //	determinism   no wall clock, global rand, or order-sensitive map
 //	              iteration in simulation/report packages
-//	bitwidth      shift/mask literals match the declared address
-//	              component widths (57-bit VA, 12-bit offset, ...)
-//	auditcontract every BTB design implements btb.Auditable and is
-//	              registered for the oracle sweep
 //	atomicwrite   checkpoint/report files go through atomicio
 //	addrdomain    RegionID/PageNum/PageOffset/SetIndex/Tag values never
 //	              cross domains through conversions or comparisons
@@ -19,14 +15,12 @@
 //
 // Usage:
 //
-//	pdede-lint [flags] [packages]          # standalone, like go vet ./...
-//	go vet -vettool=$(which pdede-lint) ./...
+//	pdede-lint [flags] [packages]          # like go vet ./...
 //
-// Standalone mode loads packages via `go list -export` (build-cache only,
-// no network). As a vettool it speaks cmd/go's unitchecker config
-// protocol. Exit status: 0 clean, 1 findings, 2 operational error.
+// Packages load via `go list -export` (build-cache only, no network).
+// Exit status: 0 clean, 1 findings, 2 operational error.
 //
-// With -json, standalone findings are emitted to stdout as a JSON array of
+// With -json, findings are emitted to stdout as a JSON array of
 // {file, line, col, analyzer, message} objects (empty array when clean) for
 // CI annotation tooling; the exit-status contract is unchanged.
 package main
@@ -40,8 +34,6 @@ import (
 
 	"repro/internal/analysis/addrdomain"
 	"repro/internal/analysis/atomicwrite"
-	"repro/internal/analysis/auditcontract"
-	"repro/internal/analysis/bitwidth"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/guardedby"
 	"repro/internal/analysis/lintkit"
@@ -51,8 +43,6 @@ import (
 func suite() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		determinism.Analyzer,
-		bitwidth.Analyzer,
-		auditcontract.Analyzer,
 		atomicwrite.Analyzer,
 		addrdomain.Analyzer,
 		guardedby.Analyzer,
@@ -64,23 +54,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// `go vet -vettool` probes the tool's version before handing it work.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("pdede-lint version 1\n")
-		return 0
-	}
-	// cmd/go also probes `-flags` for a JSON description of tool flags it
-	// may forward. The suite takes none in vettool mode.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	// Unitchecker protocol: a single *.cfg argument (possibly after flags
-	// cmd/go passes through).
-	if cfg := vetConfigArg(args); cfg != "" {
-		return runVettool(cfg)
-	}
-
 	fs := flag.NewFlagSet("pdede-lint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
@@ -187,17 +160,4 @@ func selectAnalyzers(only string) ([]*lintkit.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// vetConfigArg returns the unitchecker config path when the invocation is
-// the cmd/go vettool protocol (trailing *.cfg argument).
-func vetConfigArg(args []string) string {
-	if len(args) == 0 {
-		return ""
-	}
-	last := args[len(args)-1]
-	if strings.HasSuffix(last, ".cfg") {
-		return last
-	}
-	return ""
 }

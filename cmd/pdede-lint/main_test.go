@@ -1,23 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis/lintkit/linttest"
 )
-
-func TestVersionProbe(t *testing.T) {
-	if got := run([]string{"-V=full"}); got != 0 {
-		t.Fatalf("-V=full exit %d, want 0", got)
-	}
-}
 
 func TestListAnalyzers(t *testing.T) {
 	if got := run([]string{"-list"}); got != 0 {
@@ -83,42 +74,6 @@ func FirstKey(m map[uint64]int) uint64 {
 	}
 	return 0
 }
-`,
-		},
-	},
-	{
-		name:     "bitwidth",
-		analyzer: "bitwidth",
-		files: map[string]string{
-			"go.mod": "module seed\n\ngo 1.22\n",
-			"internal/addr/addr.go": `package addr
-
-const (
-	VABits     = 57
-	PageShift  = 12
-	OffsetBits = PageShift
-)
-
-func Bad(x uint64) uint64 { return x >> 13 }
-`,
-		},
-	},
-	{
-		name:     "auditcontract",
-		analyzer: "auditcontract",
-		files: map[string]string{
-			"go.mod": "module seed\n\ngo 1.22\n",
-			"internal/btb/btb.go": `package btb
-
-type TargetPredictor interface {
-	Name() string
-}
-
-type Auditable interface{ Audit() error }
-
-type Unaudited struct{}
-
-func (*Unaudited) Name() string { return "u" }
 `,
 		},
 	},
@@ -294,61 +249,4 @@ func Sum(m map[uint64]int) int {
 	if got := run([]string{"-C", root, "./..."}); got != 0 {
 		t.Fatalf("clean module exit %d, want 0", got)
 	}
-}
-
-// TestVettoolProtocol drives the built binary through `go vet -vettool`,
-// the unitchecker path: a seeded violation must fail the vet run with the
-// diagnostic on stderr, and a clean module must pass.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("vettool build skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "pdede-lint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building pdede-lint: %v\n%s", err, out)
-	}
-
-	// One seeded module per analyzer family: the syntactic suite and the
-	// CFG lock-set pass (guardedby, whose fixture also exercises
-	// export-data loading for the sync import).
-	dirtyRuns := []struct {
-		name    string
-		files   map[string]string
-		message string
-	}{
-		{"determinism", seedCases[0].files, "nondeterministic map iteration"},
-		{"guardedby", map[string]string{
-			"go.mod":                             "module seed\n\ngo 1.22\n",
-			"internal/experiments/checkpoint.go": guardedbySeed,
-		}, "guarded by c.mu"},
-	}
-	var stderr bytes.Buffer
-	for _, dr := range dirtyRuns {
-		dirty := linttest.WriteModule(t, dr.files)
-		stderr.Reset()
-		vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		vet.Dir = dirty
-		vet.Stderr = &stderr
-		if err := vet.Run(); err == nil {
-			t.Fatalf("go vet -vettool passed on a seeded %s violation\nstderr: %s", dr.name, stderr.String())
-		}
-		if !strings.Contains(stderr.String(), dr.message) {
-			t.Fatalf("vet stderr missing the %s diagnostic:\n%s", dr.name, stderr.String())
-		}
-	}
-
-	clean := linttest.WriteModule(t, map[string]string{
-		"go.mod":                "module seed\n\ngo 1.22\n",
-		"internal/btb/btb.go":   "package btb\n\nfunc ID(x uint64) uint64 { return x }\n",
-		"internal/core/core.go": "package core\n\nfunc Twice(x int) int { return 2 * x }\n",
-	})
-	stderr.Reset()
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = clean
-	vet.Stderr = &stderr
-	if err := vet.Run(); err != nil {
-		t.Fatalf("go vet -vettool failed on a clean module: %v\n%s", err, stderr.String())
-	}
-	_ = os.Environ // keep os import honest if assertions above change
 }

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -26,6 +27,7 @@ import (
 
 	pdedesim "repro"
 	"repro/internal/analysis"
+	"repro/internal/atomicio"
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/trace/ingest"
@@ -97,28 +99,12 @@ func main() {
 				codec = "pdt"
 			}
 		}
-		//pdede:raw-write-ok traces stream at paper scale; buffering for an atomic rename would need the whole file in memory
-		f, err := os.Create(*out)
+		size, err := writeTrace(*out, codec, tr)
 		if err != nil {
 			fatal(err)
 		}
-		switch codec {
-		case "pdt":
-			err = trace.Write(f, tr.TraceName, tr.Open())
-		case "pdtz":
-			err = trace.WritePdtz(f, tr.TraceName, tr.Open())
-		default:
-			err = fmt.Errorf("unknown -convert codec %q (want pdt or pdtz)", codec)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		st, _ := os.Stat(*out)
 		fmt.Printf("wrote %s (%s, %.1f MB, %.2f bytes/record)\n",
-			*out, codec, float64(st.Size())/1e6, float64(st.Size())/float64(len(tr.Records)))
+			*out, codec, float64(size)/1e6, float64(size)/float64(len(tr.Records)))
 	}
 
 	if *dump > 0 {
@@ -179,6 +165,27 @@ same-page (dynamic)   %.1f%%
 			fmt.Printf("LRU miss rate @%5d entries: %.1f%%\n", c, 100*u.MissRateAt(c))
 		}
 	}
+}
+
+// writeTrace encodes tr with codec ("pdt" or "pdtz") and atomically
+// replaces path with the encoding, returning its size in bytes. An unknown
+// codec is rejected before path is touched. The trace is already in memory,
+// and its encoding takes a few bytes per record, so it is built whole.
+func writeTrace(path, codec string, tr *trace.Memory) (int, error) {
+	var buf bytes.Buffer
+	var err error
+	switch codec {
+	case "pdt":
+		err = trace.Write(&buf, tr.TraceName, tr.Open())
+	case "pdtz":
+		err = trace.WritePdtz(&buf, tr.TraceName, tr.Open())
+	default:
+		return 0, fmt.Errorf("unknown -convert codec %q (want pdt or pdtz)", codec)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return buf.Len(), atomicio.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 func fatal(err error) {

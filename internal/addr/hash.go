@@ -7,9 +7,8 @@ package addr
 
 // Mix64 is a finalizer-style 64-bit mixer (splitmix64 finalizer). It is used
 // to scramble PCs before extracting index and tag fields so that nearby PCs
-// do not systematically collide.
-//
-//pdede:bitwidth-ok splitmix64 finalizer shift constants, not address-field widths
+// do not systematically collide. Its shift constants are splitmix64's, not
+// address-field widths.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

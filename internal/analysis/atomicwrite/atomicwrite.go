@@ -9,8 +9,9 @@
 // flush, at which point -resume refuses a corrupt checkpoint and hours of
 // suite progress are gone.
 //
-// In the persistence packages (internal/experiments, internal/serve) and the
-// cmd mains that write result files, the analyzer flags calls to:
+// In the persistence packages (internal/experiments, internal/serve), the
+// module root (whose DumpSuiteJSON writes -dump-suite) and the cmd mains
+// that write result files, the analyzer flags calls to:
 //
 //   - os.Create / os.WriteFile
 //   - os.OpenFile with an O_CREATE flag
@@ -32,8 +33,10 @@ import (
 )
 
 // Scope is the import-path suffixes of packages persisting checkpoints and
-// reports, including the cmd mains that write result files directly.
+// reports, including the module root and the cmd mains that write result
+// files directly.
 var Scope = []string{
+	"repro",
 	"internal/experiments",
 	"internal/serve",
 	"cmd/pdede-experiments",

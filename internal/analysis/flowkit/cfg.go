@@ -9,9 +9,9 @@
 //     engine behind guardedby, with intersection at joins so a fact only
 //     survives if it holds on *every* path.
 //
-// Everything is per-package by design: the `go vet -vettool` protocol hands
-// a tool one package's syntax plus export data for its dependencies, so no
-// analysis here ever needs a dependency's function bodies.
+// Everything is per-package by design: lintkit.Load hands an analyzer one
+// package's syntax plus export data for its dependencies, so no analysis
+// here ever needs a dependency's function bodies.
 package flowkit
 
 import (

@@ -11,11 +11,10 @@
 //     shelling out to `go list -export` and reading the compiler's export
 //     data for dependencies — the same data `go vet` hands its tools.
 //   - directive handling for the repository's `//pdede:` comment
-//     directives (`//pdede:guarded-by(mu)`, `//pdede:bitwidth-ok`, ...).
+//     directives (`//pdede:guarded-by(mu)`, `//pdede:nondet-ok`, ...).
 //
-// The concrete analyzers live in sibling packages (determinism, bitwidth,
-// auditcontract, atomicwrite, addrdomain, guardedby); cmd/pdede-lint drives
-// them both standalone and as a `go vet -vettool`.
+// The concrete analyzers live in sibling packages (determinism,
+// atomicwrite, addrdomain, guardedby); cmd/pdede-lint drives them.
 package lintkit
 
 import (
@@ -102,7 +101,7 @@ func (p *Pass) InScope(suffixes []string) bool {
 // Directive is one parsed `//pdede:name args` comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "guarded-by(mu)", "bitwidth-ok"
+	Name string // e.g. "guarded-by(mu)", "nondet-ok"
 	Args string // remainder of the line, space-trimmed
 }
 
@@ -152,8 +151,8 @@ func (p *Pass) FuncHasDirective(file *ast.File, fn *ast.FuncDecl, name string) b
 // the line of node's position or the line immediately above it — the escape
 // hatch form, e.g.
 //
-//	//pdede:bitwidth-ok splitmix64 avalanche constants
-//	x ^= x >> 31
+//	//pdede:nondet-ok each slice is sorted independently
+//	for _, idx := range out {
 func (p *Pass) NodeHasDirective(file *ast.File, node ast.Node, name string) bool {
 	line := p.Fset.Position(node.Pos()).Line
 	for _, d := range p.FileDirectives(file) {
@@ -186,9 +185,9 @@ func SortDiagnostics(ds []Diagnostic) {
 }
 
 // Run executes every analyzer over every package and returns the combined,
-// sorted diagnostics. Diagnostics anchored in _test.go files are dropped:
-// the contracts the suite enforces are about simulator code, and `go vet
-// -vettool` passes test variants through the same entry point.
+// sorted diagnostics. Load reads only a package's GoFiles, so test files
+// are never analyzed: the contracts the suite enforces are about simulator
+// code.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
@@ -199,12 +198,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				report: func(d Diagnostic) {
-					if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-						return
-					}
-					out = append(out, d)
-				},
+				report:    func(d Diagnostic) { out = append(out, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				return out, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)

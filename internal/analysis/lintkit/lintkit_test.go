@@ -3,7 +3,6 @@ package lintkit_test
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis/lintkit"
@@ -94,41 +93,10 @@ func TestSortDiagnosticsAndString(t *testing.T) {
 	}
 }
 
-// TestRunDropsTestFileDiagnostics pins the vettool behavior: findings in
-// _test.go files are filtered centrally.
-func TestRunDropsTestFileDiagnostics(t *testing.T) {
-	pkgs, err := lintkit.Load("../../..", "./internal/addr")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	flagEverything := &lintkit.Analyzer{
-		Name: "flagall",
-		Doc:  "test analyzer flagging every file",
-		Run: func(pass *lintkit.Pass) error {
-			for _, f := range pass.Files {
-				pass.Report(f.Pos(), "flagged")
-			}
-			return nil
-		},
-	}
-	diags, err := lintkit.Run(pkgs, []*lintkit.Analyzer{flagEverything})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("expected diagnostics on non-test files")
-	}
-	for _, d := range diags {
-		if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-			t.Fatalf("diagnostic in test file survived: %s", d)
-		}
-	}
-}
-
 // TestDirectiveParsing checks the //pdede: directive forms against a file
 // loaded through the real pipeline.
 func TestDirectiveParsing(t *testing.T) {
-	pkgs, err := lintkit.Load("../../..", "./internal/addr")
+	pkgs, err := lintkit.Load("../../..", "./internal/experiments")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -137,10 +105,10 @@ func TestDirectiveParsing(t *testing.T) {
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "Mix64" {
+				if !ok || fn.Name.Name != "flushLocked" {
 					continue
 				}
-				if !pass.FuncHasDirective(file, fn, "bitwidth-ok") {
+				if !pass.FuncHasDirective(file, fn, "guarded-by(mu)") {
 					return nil // reported via t.Error below through missing marker
 				}
 				pass.Report(fn.Pos(), "directive-found")
@@ -153,6 +121,6 @@ func TestDirectiveParsing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(diags) != 1 || diags[0].Message != "directive-found" {
-		t.Fatalf("Mix64's //pdede:bitwidth-ok doc directive not detected (diags: %v, pkg %s)", diags, pkg.ImportPath)
+		t.Fatalf("flushLocked's //pdede:guarded-by(mu) doc directive not detected (diags: %v, pkg %s)", diags, pkg.ImportPath)
 	}
 }

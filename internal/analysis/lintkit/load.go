@@ -111,10 +111,7 @@ func typecheck(fset *token.FileSet, deps *depImporter, lp *listPackage) (*Packag
 	var files []*ast.File
 	var paths []string
 	for _, name := range lp.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(lp.Dir, name)
-		}
+		path := filepath.Join(lp.Dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lintkit: %w", err)
@@ -204,21 +201,4 @@ func (m *mapImporter) Import(path string) (*types.Package, error) {
 		path = mapped
 	}
 	return m.deps.importCanonical(path)
-}
-
-// TypecheckFiles type-checks one package given explicit file paths and a
-// canonical-path export lookup — the `go vet -vettool` entry point, where
-// cmd/go supplies GoFiles, ImportMap and PackageFile in the vet config.
-func TypecheckFiles(importPath, goVersion string, goFiles []string, importMap, packageFile map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	deps := newDepImporter(fset, packageFile)
-	lp := &listPackage{
-		ImportPath: importPath,
-		GoFiles:    goFiles,
-		ImportMap:  importMap,
-	}
-	if goVersion != "" {
-		lp.Module = &struct{ GoVersion string }{GoVersion: strings.TrimPrefix(goVersion, "go")}
-	}
-	return typecheck(fset, deps, lp)
 }

@@ -8,8 +8,9 @@
 // before the rename, the rename itself before WriteFile returns).
 //
 // The pdede-lint atomicwrite analyzer statically enforces that the
-// persistence packages (internal/experiments, internal/serve) and the
-// cmd mains create files only through this package.
+// persistence packages (internal/experiments, internal/serve), the module
+// root (the -dump-suite writer) and the cmd mains create files only
+// through this package.
 package atomicio
 
 import (

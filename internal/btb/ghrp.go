@@ -42,7 +42,7 @@ func (g *ghrpTables) note(sig uint16) {
 
 // signature mixes a PC with the current history.
 func (g *ghrpTables) signature(pc addr.VA) uint16 {
-	return uint16(addr.Mix64(uint64(pc)>>1^g.history*0x9e3779b97f4a7c15) & 0xffff) //pdede:bitwidth-ok 16-bit GHRP signature, not an address field
+	return uint16(addr.Mix64(uint64(pc)>>1^g.history*0x9e3779b97f4a7c15) & 0xffff) // 16-bit GHRP signature, not an address field
 }
 
 func (g *ghrpTables) idx1(sig uint16) int { return int(sig) & (len(g.t1) - 1) }

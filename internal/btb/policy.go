@@ -104,7 +104,8 @@ type randRepl struct {
 func (r *randRepl) Touch(int)  {}
 func (r *randRepl) Insert(int) {}
 
-//pdede:bitwidth-ok xorshift32 generator constants, not address-field widths
+// Victim steps the xorshift32 generator; its shift constants are
+// xorshift32's, not address-field widths.
 func (r *randRepl) Victim() int {
 	r.state ^= r.state << 13
 	r.state ^= r.state >> 17

@@ -48,10 +48,11 @@ func PerfectDesign() Design {
 // DiffDesigns is the differential-oracle registry: every concrete design
 // the experiments drive, including the ablation intermediates, the two
 // level hierarchy and the unbounded Perfect model. `make check-deep` runs
-// each of these in lockstep with its reference oracle; the pdede-lint
-// auditcontract analyzer cross-checks the list against the design
-// packages, so a new design that is not constructed here fails lint until
-// it is registered (or annotated //pdede:unregistered-ok).
+// each of these in lockstep with its reference oracle.
+// TestDiffDesignsCoverEveryDesign cross-checks the list against the design
+// packages: every exported type there that declares Lookup must be built
+// here and implement btb.Auditable, so a new design fails that test until
+// it is registered.
 func DiffDesigns() []Design {
 	partitionOnly := pdede.DefaultConfig()
 	partitionOnly.DisableDelta = true

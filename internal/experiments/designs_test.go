@@ -1,8 +1,16 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/btb"
 	"repro/internal/core"
 )
 
@@ -95,4 +103,92 @@ func TestTwoLevelDesignConstructs(t *testing.T) {
 			t.Error("unnamed two-level design")
 		}
 	}
+}
+
+// TestDiffDesignsCoverEveryDesign is the registry witness. Every exported
+// type in a design package that declares a Lookup method must be the
+// dynamic type of some DiffDesigns predictor, and every DiffDesigns
+// predictor must implement btb.Auditable, so that `make check-deep`, the
+// oracle tests and the periodic audits reach every design. There is no
+// exemption: a wrapper audits by delegating, as multilevel.TwoLevel does.
+// TestDesignConstructors cannot take DiffDesigns as one more set, because
+// perfect-btb reports zero storage.
+func TestDiffDesignsCoverEveryDesign(t *testing.T) {
+	registered := map[string]bool{}
+	for _, d := range DiffDesigns() {
+		tp, err := d.New()
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if _, ok := tp.(btb.Auditable); !ok {
+			t.Errorf("%s: %T does not implement btb.Auditable", d.Name, tp)
+		}
+		registered[designTypeKey(reflect.TypeOf(tp))] = true
+	}
+
+	// The directories, relative to this package, that declare designs.
+	dirs := []string{"../btb", "../pdede", "../shotgun", "../multilevel"}
+	fset := token.NewFileSet()
+	var scanned []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Name.Name != "Lookup" {
+					continue
+				}
+				if name := recvTypeName(fn.Recv.List[0].Type); ast.IsExported(name) {
+					scanned = append(scanned, f.Name.Name+"."+name)
+				}
+			}
+		}
+	}
+	if len(scanned) == 0 {
+		t.Fatalf("no type declares Lookup under %v", dirs)
+	}
+	for _, name := range scanned {
+		if !registered[name] {
+			t.Errorf("%s declares Lookup but no DiffDesigns design builds it: register it so the oracle sweep covers it", name)
+		}
+	}
+	t.Logf("design types: %v", scanned)
+}
+
+// recvTypeName returns the type name of a method receiver expression,
+// through a pointer and type parameters.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// designTypeKey names a predictor's dynamic type as the scan does:
+// package name, dot, type name.
+func designTypeKey(t reflect.Type) string {
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return path.Base(t.PkgPath()) + "." + t.Name()
 }

@@ -26,8 +26,10 @@ func checkDeepApps() int {
 
 // checkDeepDesigns is the shared diff-design registry from
 // internal/experiments: every design the experiments drive, including the
-// ablation intermediates, the hierarchy and Perfect. Keeping the list in
-// non-test code lets the pdede-lint auditcontract analyzer verify it.
+// ablation intermediates, the hierarchy and Perfect. The list lives in
+// non-test code because pdede-serve and `pdede-experiments -check` use it
+// too; experiments.TestDiffDesignsCoverEveryDesign checks it against the
+// design packages.
 func checkDeepDesigns() []experiments.Design {
 	return experiments.DiffDesigns()
 }

@@ -28,12 +28,13 @@
 package pdedesim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/atomicio"
 	"repro/internal/btb"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -373,12 +374,11 @@ func DumpSuiteJSONContext(ctx context.Context, opts SuiteOptions, path string) e
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := suite.WriteJSON(&buf); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := suite.WriteJSON(f); err != nil {
+	if err := atomicio.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
 	return suite.Err()
