@@ -80,13 +80,15 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Short coverage-guided fuzz sessions (each seed corpus also runs as a plain
-# test inside `make test`): the v1 trace decoder, the .pdtz v2 round trip,
+# test inside `make test`): the v1 trace decoder, the in-memory PDT1 record
+# log against that decoder, the .pdtz v2 round trip,
 # the ChampSim and perf script ingestion adapters, the 57-bit VA component
 # algebra, PDede's delta encode/decode path, the cache model against its
 # stamp-LRU reference, and pdede-serve's two untrusted inputs: HTTP batch
 # bodies and checkpoint files.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -fuzz FuzzRecordLogMatchesDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzPdtzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/champsim/ -fuzz FuzzChampSimDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/perfscript/ -fuzz FuzzPerfScriptParser -fuzztime $(FUZZTIME)

@@ -26,13 +26,16 @@
 // an interrupted or partially-failed run resumes where it left off.
 // SIGINT/SIGTERM cancel the run context: in-flight apps stop at the next
 // loop check and everything already completed is in the checkpoint.
-// Failures exit non-zero even when the report was written.
+// Failures exit non-zero even when the report was written. -o writes its
+// file only when every experiment succeeded, or with -keep-going; a failed
+// run leaves an existing report untouched.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the whole
 // run for `go tool pprof`.
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -46,12 +49,13 @@ import (
 	"time"
 
 	pdedesim "repro"
+	"repro/internal/atomicio"
 	"repro/internal/profile"
 )
 
 func main() {
 	// All the work happens in run so its deferred cleanups (signal stop,
-	// report-file close, profile flush) execute before the process exits;
+	// profile flush) execute before the process exits;
 	// os.Exit here would otherwise skip them.
 	os.Exit(run(os.Args[1:]))
 }
@@ -88,8 +92,8 @@ func run(args []string) (code int) {
 		}
 		return 2
 	}
-	// Resolve every id before anything runs or -o is opened, so a typo
-	// neither truncates an existing report nor follows a full sweep.
+	// Resolve every id before anything runs, so a typo fails at once
+	// instead of after a full sweep.
 	ids, err := experimentIDs(*runSpec)
 	if err != nil {
 		return fail(err)
@@ -158,17 +162,13 @@ func run(args []string) (code int) {
 		return 0
 	}
 
+	// -o tees the report into memory as stdout streams it. The file is
+	// written once, atomically, after the sweep: an earlier complete
+	// report is never replaced by a failed run's partial one.
 	var w io.Writer = os.Stdout
-	var outFile *os.File
+	var report bytes.Buffer
 	if *out != "" {
-		//pdede:raw-write-ok -out tees stdout as it streams; no reader consumes it mid-run
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		outFile = f
-		defer f.Close() // backstop for panics; the normal path closes below
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(os.Stdout, &report)
 	}
 
 	exit := 0
@@ -189,13 +189,14 @@ func run(args []string) (code int) {
 		}
 		fmt.Fprintf(w, "\n[%s finished in %.1fs]\n\n", id, time.Since(start).Seconds())
 	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "pdede-experiments: close %s: %v\n", *out, err)
-			if exit == 0 {
-				exit = 1
-			}
+	switch {
+	case *out == "":
+	case exit == 0 || *keep:
+		if err := atomicio.WriteFile(*out, report.Bytes(), 0o644); err != nil {
+			exit = fail(err)
 		}
+	default:
+		fmt.Fprintf(os.Stderr, "pdede-experiments: %s left unchanged: the run failed (-keep-going writes a partial report)\n", *out)
 	}
 	return exit
 }

@@ -33,6 +33,28 @@ func TestUnknownIDLeavesReportUntouched(t *testing.T) {
 	}
 }
 
+// TestFailedRunLeavesReportUntouched: -o is written only after a sweep in
+// which every experiment succeeded (or under -keep-going), so a run that
+// fails part way keeps an existing report's bytes. A 1 ms per-app budget
+// fails fig10 at its first app.
+func TestFailedRunLeavesReportUntouched(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "r.txt")
+	want := []byte("a complete earlier report\n")
+	if err := os.WriteFile(out, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := run([]string{"-run", "fig10", "-apps", "2", "-timeout", "1ms", "-o", out}); got != 1 {
+		t.Fatalf("exit %d, want 1", got)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a failed run rewrote -o: got %d bytes %q, want %q", len(got), got, want)
+	}
+}
+
 func TestExperimentIDs(t *testing.T) {
 	if ids, err := experimentIDs(""); err != nil || len(ids) != 0 {
 		t.Fatalf(`experimentIDs("") = %v, %v; want no ids`, ids, err)

@@ -41,11 +41,7 @@ func Fold(x uint64, width uint) uint64 {
 func IndexTag(pc VA, indexBits, tagBits uint) (index SetIndex, tag Tag) {
 	h := Mix64(uint64(pc) >> 1)
 	index = SetIndex(h & ((uint64(1) << indexBits) - 1))
-	t := Fold(h>>indexBits, tagBits)
-	if tagBits < 64 {
-		t &= (uint64(1) << tagBits) - 1
-	}
-	return index, Tag(t)
+	return index, Tag(Fold(h>>indexBits, tagBits))
 }
 
 // IndexMod derives a set index for tables whose number of sets is not a

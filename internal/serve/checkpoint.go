@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 
 	"repro/internal/atomicio"
-	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -15,7 +13,7 @@ import (
 // changes incompatibly.
 const checkpointVersion = 1
 
-// checkpointFile is one tenant's durable state: the journal (as a PDT1
+// checkpointFile is one tenant's durable state: the journal (its PDT1
 // stream, base64 inside JSON) plus the exactly-once watermark and health
 // counters. The simulator itself is never serialized — replaying the
 // journal through a fresh session reproduces it bit-identically, and
@@ -35,30 +33,9 @@ func checkpointPath(dir, tenant string) string {
 	return filepath.Join(dir, tenant+".ckpt")
 }
 
-// encodeJournal serializes the journal with the standard trace codec.
-func encodeJournal(name string, recs []isa.Branch) ([]byte, error) {
-	var buf bytes.Buffer
-	src := &trace.Memory{TraceName: name, Records: recs}
-	if err := trace.Write(&buf, name, src.Open()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeJournal(data []byte) ([]isa.Branch, error) {
-	d, err := trace.NewDecoder(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	m, err := trace.Collect(d.Name(), d)
-	if err != nil {
-		return nil, err
-	}
-	return m.Records, nil
-}
-
-// decodeCheckpoint parses and validates a checkpoint document.
-func decodeCheckpoint(data []byte, wantConfigDigest, tenant string) (*checkpointFile, []isa.Branch, error) {
+// decodeCheckpoint parses and validates a checkpoint document. The journal
+// keeps the checkpoint's record bytes once every record has been validated.
+func decodeCheckpoint(data []byte, wantConfigDigest, tenant string) (*checkpointFile, *trace.RecordLog, error) {
 	var ck checkpointFile
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return nil, nil, fmt.Errorf("serve: corrupt checkpoint for %s: %w", tenant, err)
@@ -78,11 +55,11 @@ func decodeCheckpoint(data []byte, wantConfigDigest, tenant string) (*checkpoint
 	if ck.NextSeq == 0 {
 		return nil, nil, fmt.Errorf("serve: checkpoint for %s has zero next_seq", tenant)
 	}
-	recs, err := decodeJournal(ck.Records)
+	journal, err := trace.ParseRecordLog(ck.Records)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: corrupt journal for %s: %w", tenant, err)
 	}
-	return &ck, recs, nil
+	return &ck, journal, nil
 }
 
 // checkpointLocked durably persists t's full state via the atomic write
@@ -90,10 +67,6 @@ func decodeCheckpoint(data []byte, wantConfigDigest, tenant string) (*checkpoint
 //
 //pdede:guarded-by(mu)
 func (t *tenant) checkpointLocked(s *Server) error {
-	data, err := encodeJournal(t.name, t.journal)
-	if err != nil {
-		return fmt.Errorf("serve: encoding journal for %s: %w", t.name, err)
-	}
 	ck := checkpointFile{
 		Version:      checkpointVersion,
 		ConfigDigest: s.digest,
@@ -101,7 +74,7 @@ func (t *tenant) checkpointLocked(s *Server) error {
 		NextSeq:      t.nextSeq,
 		Crashes:      t.crashes,
 		Quarantined:  t.quarantined,
-		Records:      data,
+		Records:      t.journal.Stream(t.name),
 	}
 	if t.sess != nil {
 		snap := t.sess.Snapshot()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // fuzzRecords is a small valid stream covering every branch kind, with
@@ -32,6 +33,23 @@ func fuzzRecords() []isa.Branch {
 	return recs
 }
 
+// pdt1 encodes recs as the PDT1 stream named name.
+func pdt1(name string, recs []isa.Branch) []byte {
+	var l trace.RecordLog
+	l.Append(recs)
+	return l.Stream(name)
+}
+
+// logRecords decodes every record of a journal.
+func logRecords(t *testing.T, l *trace.RecordLog) []isa.Branch {
+	t.Helper()
+	m, err := trace.Collect("journal", l.Open())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Records
+}
+
 func sameRecords(t *testing.T, got, want []isa.Branch) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -48,10 +66,7 @@ func sameRecords(t *testing.T, got, want []isa.Branch) {
 // It must never panic; a rejected body carries a reply, and an accepted one
 // re-encodes as PDT1 and decodes back to the same records.
 func FuzzDecodeBody(f *testing.F) {
-	valid, err := encodeJournal("batch", fuzzRecords())
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := pdt1("batch", fuzzRecords())
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1]) // missing trailer
 	f.Add(valid[:7])            // cut inside the header
@@ -70,11 +85,7 @@ func FuzzDecodeBody(f *testing.F) {
 		if len(recs) == 0 || len(recs) > max {
 			t.Fatalf("accepted %d records, want 1..%d", len(recs), max)
 		}
-		again, err := encodeJournal("batch", recs)
-		if err != nil {
-			t.Fatalf("accepted batch does not re-encode: %v", err)
-		}
-		back, rep := decodeBody(bytes.NewReader(again), max)
+		back, rep := decodeBody(bytes.NewReader(pdt1("batch", recs)), max)
 		if rep != nil {
 			t.Fatalf("re-encoded batch rejected: %+v", rep.err)
 		}
@@ -87,10 +98,7 @@ func FuzzDecodeBody(f *testing.F) {
 // and document) and decodes back to the same header and records.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	const digest, tenant = "cfg-digest", "alpha"
-	journal, err := encodeJournal(tenant, fuzzRecords())
-	if err != nil {
-		f.Fatal(err)
-	}
+	journal := pdt1(tenant, fuzzRecords())
 	valid, err := json.Marshal(checkpointFile{
 		Version:      checkpointVersion,
 		ConfigDigest: digest,
@@ -111,17 +119,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, recs, err := decodeCheckpoint(data, digest, tenant)
+		ck, journal, err := decodeCheckpoint(data, digest, tenant)
 		if err != nil {
-			if ck != nil || recs != nil || err.Error() == "" {
+			if ck != nil || journal != nil || err.Error() == "" {
 				t.Fatalf("rejection returned state or an empty error: %v", err)
 			}
 			return
 		}
 		again := *ck
-		if again.Records, err = encodeJournal(tenant, recs); err != nil {
-			t.Fatalf("accepted journal does not re-encode: %v", err)
-		}
+		again.Records = journal.Stream(tenant)
 		doc, err := json.Marshal(&again)
 		if err != nil {
 			t.Fatal(err)
@@ -134,6 +140,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if !reflect.DeepEqual(*ck2, again) {
 			t.Fatalf("checkpoint header changed in round trip: %+v, want %+v", *ck2, again)
 		}
-		sameRecords(t, back, recs)
+		sameRecords(t, logRecords(t, back), logRecords(t, journal))
 	})
 }

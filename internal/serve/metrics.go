@@ -89,6 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, t := range ts {
 		t.mu.Lock()
 		fmt.Fprintf(&b, "pdede_serve_tenant_next_seq{tenant=%q} %d\n", t.name, t.nextSeq)
+		fmt.Fprintf(&b, "pdede_serve_tenant_journal_bytes{tenant=%q} %d\n", t.name, t.journal.Size())
 		fmt.Fprintf(&b, "pdede_serve_tenant_pending{tenant=%q} %d\n", t.name, t.pending.Load())
 		if t.quarantined {
 			fmt.Fprintf(&b, "pdede_serve_tenant_quarantined{tenant=%q} 1\n", t.name)

@@ -455,7 +455,7 @@ func (s *Server) statsFor(t *tenant) (*TenantStats, *reply) {
 	if rep := t.restoreLocked(s); rep != nil {
 		return nil, rep
 	}
-	if t.nextSeq == 1 && len(t.journal) == 0 && t.crashes == 0 {
+	if t.nextSeq == 1 && t.journal.Len() == 0 && t.crashes == 0 {
 		rep := errReply(http.StatusNotFound, CodeUnknownTenant, false,
 			"tenant %s has no state", t.name)
 		return nil, &rep
@@ -536,7 +536,7 @@ func (s *Server) shedOne(t *tenant) {
 		return
 	}
 	t.sess = nil
-	t.journal = nil
+	t.journal = trace.RecordLog{}
 	t.restored = false
 	t.lastAck = BatchAck{}
 	t.wantDigest = ""
@@ -608,6 +608,11 @@ func (s *Server) checkpointAll() error {
 	return firstErr
 }
 
+// bodyRecords is the record capacity decodeBody starts a batch with, the
+// size of the batches pdede-serve's clients send; a larger batch grows
+// from there.
+const bodyRecords = 256
+
 // decodeBody reads a whole PDT1 batch into memory. Any mid-stream decode
 // failure maps to the retryable "truncated" error: whether the client died,
 // stalled forever (the HTTP server's read timeout fires), or sent garbage,
@@ -621,7 +626,7 @@ func decodeBody(r io.Reader, max int) ([]isa.Branch, *reply) {
 	if err != nil {
 		return fail(err)
 	}
-	var recs []isa.Branch
+	recs := make([]isa.Branch, 0, min(max, bodyRecords))
 	for {
 		b, err := d.Next()
 		if errors.Is(err, io.EOF) {

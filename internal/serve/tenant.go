@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -11,13 +12,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // tenant is one client's simulation plus the bookkeeping that makes it
 // survive crashes, shedding and restarts. The source of truth is the
-// journal — the exact sequence of records ever applied — not the simulator:
-// the simulator can always be rebuilt by replaying the journal through a
-// fresh core.Session, and determinism makes the rebuild bit-identical.
+// journal — the exact sequence of records ever applied, held as PDT1
+// record bytes — not the simulator: the simulator can always be rebuilt by
+// replaying the journal through a fresh core.Session, and determinism makes
+// the rebuild bit-identical.
 type tenant struct {
 	name string
 
@@ -35,7 +38,7 @@ type tenant struct {
 	sess *core.Session
 	// journal holds every record ever applied, in order.
 	//pdede:guarded-by(mu)
-	journal []isa.Branch
+	journal trace.RecordLog
 	// nextSeq is the next batch to APPLY — the exactly-once watermark,
 	// persisted in checkpoints.
 	//pdede:guarded-by(mu)
@@ -113,7 +116,7 @@ func (t *tenant) apply(s *Server, seq uint64, recs []isa.Branch) reply {
 		return errReply(http.StatusInternalServerError, CodeCrashed, false,
 			"batch %d crashed the simulator: %v", seq, err)
 	}
-	t.journal = append(t.journal, recs[:n]...)
+	t.journal.Append(recs[:n])
 	t.nextSeq = seq + 1
 	ack := t.ackLocked(seq, n)
 	t.lastAck = ack
@@ -194,12 +197,12 @@ func (t *tenant) restoreLocked(s *Server) *reply {
 			"reading checkpoint for %s: %v", t.name, err)
 		return &rep
 	}
-	ck, recs, err := decodeCheckpoint(data, s.digest, t.name)
+	ck, journal, err := decodeCheckpoint(data, s.digest, t.name)
 	if err != nil {
 		rep := errReply(http.StatusConflict, CodeCheckpoint, false, "%v", err)
 		return &rep
 	}
-	t.journal = recs
+	t.journal = *journal
 	t.nextSeq = ck.NextSeq
 	t.nextAdmit = ck.NextSeq
 	t.crashes = ck.Crashes
@@ -209,6 +212,34 @@ func (t *tenant) restoreLocked(s *Server) *reply {
 	t.restored = true
 	s.met.restores.Add(1)
 	return nil
+}
+
+// replayChunk is how many journal records a rebuild decodes at a time.
+const replayChunk = 1024
+
+// replay applies a journal's records to se, a chunk at a time, and stops
+// early only if se.Apply consumes nothing.
+func replay(se *core.Session, r trace.BatchReader) error {
+	buf := make([]isa.Branch, replayChunk)
+	for {
+		n, rerr := r.NextBatch(buf)
+		for pos := 0; pos < n; {
+			k, _, err := se.Apply(buf[pos:n])
+			if err != nil {
+				return err
+			}
+			if k == 0 {
+				return nil
+			}
+			pos += k
+		}
+		if errors.Is(rerr, io.EOF) {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
 }
 
 // ensureSessionLocked (re)builds t's simulator by replaying the journal
@@ -227,17 +258,10 @@ func (t *tenant) ensureSessionLocked(s *Server) *reply {
 			"building simulator for %s: %v", t.name, err)
 		return &rep
 	}
-	for pos := 0; pos < len(t.journal); {
-		n, _, err := se.Apply(t.journal[pos:])
-		if err != nil {
-			rep := errReply(http.StatusInternalServerError, CodeInternal, false,
-				"replaying journal for %s: %v", t.name, err)
-			return &rep
-		}
-		if n == 0 {
-			break
-		}
-		pos += n
+	if err := replay(se, t.journal.Open()); err != nil {
+		rep := errReply(http.StatusInternalServerError, CodeInternal, false,
+			"replaying journal for %s: %v", t.name, err)
+		return &rep
 	}
 	if t.wantDigest != "" {
 		snap := se.Snapshot()

@@ -49,6 +49,30 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// maxRecordLen bounds one record's encoding: the flags byte and three
+// varints. A longer block-length varint is an overflow error.
+const maxRecordLen = 1 + 3*binary.MaxVarintLen64
+
+// appendHeader appends the stream header for name to dst.
+func appendHeader(dst []byte, name string) []byte {
+	dst = append(dst, magic...)
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	return append(dst, name...)
+}
+
+// appendRecord appends b's encoding to dst. prevPC is the PC of the record
+// before b in the stream, 0 for the first.
+func appendRecord(dst []byte, b isa.Branch, prevPC addr.VA) []byte {
+	flags := byte(b.Kind) << kindShift
+	if b.Taken {
+		flags |= flagTaken
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(b.BlockLen))
+	dst = binary.AppendVarint(dst, int64(b.PC)-int64(prevPC))
+	return binary.AppendVarint(dst, int64(b.Target)-int64(b.PC))
+}
+
 // Write encodes a full trace to w. Errors — from the source reader or from
 // short writes to w — are annotated with the 0-based record index and the
 // byte offset already flushed to w, so a partial file can be located and
@@ -59,17 +83,10 @@ func Write(w io.Writer, name string, r Reader) error {
 	wpos := func(rec int64) string {
 		return fmt.Sprintf("record %d (flushed through byte %d)", rec, cw.off)
 	}
-	if _, err := bw.WriteString(magic); err != nil {
-		return fmt.Errorf("trace: writing magic: %w", err)
+	if _, err := bw.Write(appendHeader(nil, name)); err != nil {
+		return fmt.Errorf("trace: writing header: %w", err)
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(name)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return fmt.Errorf("trace: writing name length: %w", err)
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return fmt.Errorf("trace: writing name: %w", err)
-	}
+	var buf [maxRecordLen]byte
 	var prevPC addr.VA
 	for rec := int64(0); ; rec++ {
 		b, err := r.Next()
@@ -79,23 +96,7 @@ func Write(w io.Writer, name string, r Reader) error {
 		if err != nil {
 			return fmt.Errorf("trace: reading %s from source: %w", wpos(rec), err)
 		}
-		flags := byte(b.Kind) << kindShift
-		if b.Taken {
-			flags |= flagTaken
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return fmt.Errorf("trace: writing %s: %w", wpos(rec), err)
-		}
-		n = binary.PutUvarint(buf[:], uint64(b.BlockLen))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return fmt.Errorf("trace: writing %s: %w", wpos(rec), err)
-		}
-		n = binary.PutVarint(buf[:], int64(b.PC)-int64(prevPC))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return fmt.Errorf("trace: writing %s: %w", wpos(rec), err)
-		}
-		n = binary.PutVarint(buf[:], int64(b.Target)-int64(b.PC))
-		if _, err := bw.Write(buf[:n]); err != nil {
+		if _, err := bw.Write(appendRecord(buf[:0], b, prevPC)); err != nil {
 			return fmt.Errorf("trace: writing %s: %w", wpos(rec), err)
 		}
 		prevPC = b.PC
@@ -109,8 +110,99 @@ func Write(w io.Writer, name string, r Reader) error {
 	return nil
 }
 
-// countingByteReader counts consumed bytes so decode errors can point at the
-// exact stream offset where a field was cut off.
+// errVarintOverflow is what binary.ReadUvarint reports for a varint longer
+// than 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint decodes the unsigned varint at the front of p as
+// binary.ReadUvarint reads it from a stream: n is the bytes that reader
+// consumes, also on failure. A p that ends mid-varint fails with
+// io.ErrUnexpectedEOF.
+func uvarint(p []byte) (x uint64, n int, err error) {
+	x, n = binary.Uvarint(p)
+	switch {
+	case n > 0:
+		return x, n, nil
+	case n == 0 && len(p) < binary.MaxVarintLen64:
+		return 0, len(p), io.ErrUnexpectedEOF
+	}
+	return 0, binary.MaxVarintLen64, errVarintOverflow
+}
+
+// varint is uvarint for a zig-zag signed varint.
+func varint(p []byte) (int64, int, error) {
+	ux, n, err := uvarint(p)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, n, err
+}
+
+// decodeRecord decodes the record at the front of p into b, given the PC
+// of the record before it, and returns the bytes it spans. The
+// end-of-stream trailer returns io.EOF and spans one byte. A failure names
+// the field it hit, leaves b as it was and returns the bytes a
+// byte-at-a-time reader consumes before failing; a p that ends mid-record
+// fails with io.ErrUnexpectedEOF. Every PDT1 record is decoded here: by
+// Decoder over its buffered window, and by RecordLog over its own bytes.
+func decodeRecord(b *isa.Branch, p []byte, prevPC addr.VA) (n int, field string, err error) {
+	if len(p) == 0 {
+		return 0, "truncated stream", io.ErrUnexpectedEOF
+	}
+	flags := p[0]
+	if flags == endOfStream {
+		return 1, "", io.EOF
+	}
+	kind := isa.Kind(flags >> kindShift)
+	if kind >= isa.NumKinds {
+		return 1, "invalid kind", fmt.Errorf("kind %d", kind)
+	}
+	n = 1
+	blockLen, w, err := uvarint(p[n:])
+	n += w
+	if err != nil {
+		return n, "reading block length", err
+	}
+	if blockLen == 0 || blockLen > isa.MaxBlockLen {
+		return n, "invalid block length", fmt.Errorf("length %d", blockLen)
+	}
+	pcDelta, w, err := varint(p[n:])
+	n += w
+	if err != nil {
+		return n, "reading pc delta", err
+	}
+	targetDelta, w, err := varint(p[n:])
+	n += w
+	if err != nil {
+		return n, "reading target delta", err
+	}
+	pc := addr.New(uint64(int64(prevPC) + pcDelta))
+	*b = isa.Branch{
+		PC:       pc,
+		Target:   addr.New(uint64(int64(pc) + targetDelta)),
+		BlockLen: uint16(blockLen),
+		Kind:     kind,
+		Taken:    flags&flagTaken != 0,
+	}
+	return n, "", nil
+}
+
+// recordError annotates a decode failure of record rec, with off the byte
+// offset the failure left the stream at, so a truncated upload or a
+// corrupt file can be diagnosed (and resumed) precisely instead of
+// surfacing as a bare unexpected-EOF. A mid-record EOF reads as
+// io.ErrUnexpectedEOF, so a truncated stream is never mistaken for a
+// clean end of trace.
+func recordError(rec, off int64, field string, err error) error {
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: record %d at byte offset %d: %s: %w", rec, off, field, err)
+}
+
+// countingByteReader counts the header bytes NewDecoder consumes, so the
+// Decoder's offsets start where its first record does.
 type countingByteReader struct {
 	br  *bufio.Reader
 	off int64
@@ -132,7 +224,16 @@ func (c *countingByteReader) readFull(p []byte) error {
 
 // Decoder reads the binary trace format. It implements Reader.
 type Decoder struct {
-	br     *countingByteReader
+	br *bufio.Reader
+	// win is br's buffered window: next decodes from win[used:], and
+	// discards the used bytes from br when it refills win.
+	win  []byte
+	used int
+	// perr is why win ends short of a whole record, when it does; the
+	// Decoder reads no further after a failed read.
+	perr error
+
+	off    int64 // bytes consumed from the stream
 	name   string
 	prevPC addr.VA
 	rec    int64 // 0-based index of the record Next will decode
@@ -161,92 +262,67 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if err := br.readFull(name); err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	return &Decoder{br: br, name: string(name)}, nil
+	return &Decoder{br: br.br, off: br.off, name: string(name)}, nil
 }
 
 // Name returns the trace name from the header.
 func (d *Decoder) Name() string { return d.name }
 
 // Offset returns the number of bytes consumed from the underlying stream.
-func (d *Decoder) Offset() int64 { return d.br.off }
+func (d *Decoder) Offset() int64 { return d.off }
 
 // Records returns how many records have been decoded so far.
 func (d *Decoder) Records() int64 { return d.rec }
 
-// unexpectedEOF converts a mid-record EOF into io.ErrUnexpectedEOF so that
-// a truncated stream is never mistaken for a clean end of trace.
-func unexpectedEOF(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// recErr annotates a mid-record decode failure with the record index and
-// the byte offset the stream was cut at, so a truncated upload or a corrupt
-// file can be diagnosed (and resumed) precisely instead of surfacing as a
-// bare unexpected-EOF.
-func (d *Decoder) recErr(field string, err error) error {
-	return fmt.Errorf("trace: record %d at byte offset %d: %s: %w",
-		d.rec, d.br.off, field, unexpectedEOF(err))
-}
-
 // Next implements Reader.
 func (d *Decoder) Next() (isa.Branch, error) {
-	if d.done {
-		return isa.Branch{}, io.EOF
-	}
-	flags, err := d.br.ReadByte()
-	if err != nil {
-		return isa.Branch{}, d.recErr("truncated stream", err)
-	}
-	if flags == endOfStream {
-		d.done = true
-		return isa.Branch{}, io.EOF
-	}
-	kind := isa.Kind(flags >> kindShift)
-	if kind >= isa.NumKinds {
-		return isa.Branch{}, d.recErr("invalid kind", fmt.Errorf("kind %d", kind))
-	}
-	blockLen, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return isa.Branch{}, d.recErr("reading block length", err)
-	}
-	if blockLen == 0 || blockLen > isa.MaxBlockLen {
-		return isa.Branch{}, d.recErr("invalid block length", fmt.Errorf("length %d", blockLen))
-	}
-	pcDelta, err := binary.ReadVarint(d.br)
-	if err != nil {
-		return isa.Branch{}, d.recErr("reading pc delta", err)
-	}
-	targetDelta, err := binary.ReadVarint(d.br)
-	if err != nil {
-		return isa.Branch{}, d.recErr("reading target delta", err)
-	}
-	pc := addr.New(uint64(int64(d.prevPC) + pcDelta))
-	target := addr.New(uint64(int64(pc) + targetDelta))
-	d.prevPC = pc
-	d.rec++
-	return isa.Branch{
-		PC:       pc,
-		Target:   target,
-		BlockLen: uint16(blockLen),
-		Kind:     kind,
-		Taken:    flags&flagTaken != 0,
-	}, nil
+	var b isa.Branch
+	err := d.next(&b)
+	return b, err
 }
 
-// NextBatch implements BatchReader: it decodes records back-to-back without
-// re-crossing the Reader interface per record. Decoded records preceding an
-// error are returned alongside it; the error carries the failing record's
-// index and byte offset (see recErr).
+// next decodes the next record into b, out of the buffered reader's
+// window. It refills the window whenever less than the longest record's
+// length is left in it, unless the stream has ended (or failed). Over a
+// live pipe, a record therefore returns once the stream has reached that
+// length past its start.
+func (d *Decoder) next(b *isa.Branch) error {
+	if d.done {
+		return io.EOF
+	}
+	if len(d.win)-d.used < maxRecordLen && d.perr == nil {
+		d.br.Discard(d.used)
+		d.used = 0
+		_, d.perr = d.br.Peek(maxRecordLen)
+		d.win, _ = d.br.Peek(d.br.Buffered())
+	}
+	n, field, err := decodeRecord(b, d.win[d.used:], d.prevPC)
+	d.used += n
+	d.off += int64(n)
+	if err == io.EOF {
+		d.done = true
+		return io.EOF
+	}
+	if err != nil {
+		if err == io.ErrUnexpectedEOF && d.perr != nil {
+			err = d.perr // the window ended where the stream did
+		}
+		return recordError(d.rec, d.off, field, err)
+	}
+	d.prevPC = b.PC
+	d.rec++
+	return nil
+}
+
+// NextBatch implements BatchReader: it decodes records back-to-back
+// straight into buf. Decoded records preceding an error are returned
+// alongside it; the error carries the failing record's index and byte
+// offset (see recordError).
 func (d *Decoder) NextBatch(buf []isa.Branch) (int, error) {
 	for i := range buf {
-		b, err := d.Next()
-		if err != nil {
+		if err := d.next(&buf[i]); err != nil {
 			return i, err
 		}
-		buf[i] = b
 	}
 	return len(buf), nil
 }
