@@ -81,7 +81,8 @@ race:
 
 # Short coverage-guided fuzz sessions (each seed corpus also runs as a plain
 # test inside `make test`): the v1 trace decoder, the in-memory PDT1 record
-# log against that decoder, the .pdtz v2 round trip,
+# log against that decoder, the batch record decoder that every reader of
+# both containers runs against the checked one, the .pdtz v2 round trip,
 # the ChampSim and perf script ingestion adapters, the 57-bit VA component
 # algebra, PDede's delta encode/decode path, the cache model against its
 # stamp-LRU reference, and pdede-serve's two untrusted inputs: HTTP batch
@@ -89,6 +90,7 @@ race:
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzRecordLogMatchesDecoder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -fuzz FuzzBatchDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzPdtzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/champsim/ -fuzz FuzzChampSimDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/perfscript/ -fuzz FuzzPerfScriptParser -fuzztime $(FUZZTIME)

@@ -200,21 +200,6 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				}
 			}
 		}},
-		{"predictor.GShare.Predict", func(t *testing.T) func() {
-			g, err := predictor.NewGShare(16384, 14)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				g.Update(r.PC, r.Taken)
-			}
-			next := cycle(recs)
-			return func() {
-				for i := 0; i < allocChunk; i++ {
-					sinkBool = g.Predict(next().PC)
-				}
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -118,16 +118,6 @@ func touch(order []uint8, w uint8) {
 	}
 }
 
-// Clone returns a deep copy of the cache: the clone and the receiver share
-// no mutable state, so each can be driven independently afterwards, as a
-// snapshot of warmed state must be.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.tags = slices.Clone(c.tags)
-	d.order = slices.Clone(c.order)
-	return &d
-}
-
 // Contains reports presence without updating replacement state.
 func (c *Cache) Contains(a addr.VA) bool {
 	base, word := c.line(a)

@@ -107,39 +107,6 @@ func TestCapacityBehaviour(t *testing.T) {
 	}
 }
 
-// TestCloneIsDeep drives a parent and an identically-driven twin, clones
-// the parent, thrashes the clone, then continues driving parent and twin
-// in lockstep: every divergence between them is shared mutable state
-// leaking through Clone.
-func TestCloneIsDeep(t *testing.T) {
-	parent, _ := New(4096, 4, 64)
-	twin, _ := New(4096, 4, 64)
-	for i := 0; i < 200; i++ {
-		a := addr.New(uint64(i * 96))
-		parent.Access(a)
-		twin.Access(a)
-	}
-	clone := parent.Clone()
-	// The clone starts bit-identical: same hits on a probe sweep.
-	for i := 0; i < 200; i++ {
-		a := addr.New(uint64(i * 96))
-		if parent.Contains(a) != clone.Contains(a) {
-			t.Fatalf("clone differs from parent immediately at line %d", i)
-		}
-	}
-	// Thrash the clone far past capacity.
-	for i := 0; i < 5000; i++ {
-		clone.Access(addr.New(uint64(0x100000 + i*64)))
-	}
-	// Parent and twin must still agree access for access.
-	for i := 0; i < 400; i++ {
-		a := addr.New(uint64(i * 80))
-		if got, want := parent.Access(a), twin.Access(a); got != want {
-			t.Fatalf("parent diverged from twin after clone mutation at access %d", i)
-		}
-	}
-}
-
 // refCache is the stamp-LRU cache the tag-word and recency-order layout
 // replaced, kept as the reference FuzzCacheMatchesReference compares
 // against: each line has a tag, a valid flag and the clock value of its
@@ -208,14 +175,6 @@ func (r *refCache) contains(a addr.VA) bool {
 	return false
 }
 
-func (r *refCache) clone() *refCache {
-	d := *r
-	d.tags = append([]uint64(nil), r.tags...)
-	d.valid = append([]bool(nil), r.valid...)
-	d.stamp = append([]uint64(nil), r.stamp...)
-	return &d
-}
-
 // fuzzGeometry maps a fuzz byte to a 1- to 16-way cache of 1, 2 or 4 sets
 // and 64 B lines, and the address pool it is driven over: ways+2 lines
 // per set, so a set sees hits on its MRU way, hits on older ways and
@@ -233,9 +192,8 @@ func fuzzGeometry(g uint8) (ways, sets int, pool []addr.VA) {
 }
 
 // FuzzCacheMatchesReference drives Cache and refCache with the same
-// accesses and requires the same hit or miss on every one, the same
-// Contains answer for every pool line after every one, and the same again
-// from Clones taken halfway and driven with the second half.
+// accesses and requires the same hit or miss on every one, and the same
+// Contains answer for every pool line after every one.
 func FuzzCacheMatchesReference(f *testing.F) {
 	for _, ways := range []uint8{0, 1, 2, 3, 4} { // 1 to 16 ways
 		for _, sets := range []uint8{0, 5} { // one or two sets
@@ -255,23 +213,16 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		ref := newRefCache(ways*sets*64, ways, 64)
-		drive := func(c *Cache, ref *refCache, ops []byte) {
-			for i, op := range ops {
-				a := pool[int(op)%len(pool)]
-				if got, want := c.Access(a), ref.access(a); got != want {
-					t.Fatalf("%d-way, %d-set: access %d to %#x hit=%v, reference %v", ways, sets, i, uint64(a), got, want)
-				}
-				for _, p := range pool {
-					if got, want := c.Contains(p), ref.contains(p); got != want {
-						t.Fatalf("%d-way, %d-set: after access %d, Contains(%#x)=%v, reference %v", ways, sets, i, uint64(p), got, want)
-					}
+		for i, op := range ops {
+			a := pool[int(op)%len(pool)]
+			if got, want := c.Access(a), ref.access(a); got != want {
+				t.Fatalf("%d-way, %d-set: access %d to %#x hit=%v, reference %v", ways, sets, i, uint64(a), got, want)
+			}
+			for _, p := range pool {
+				if got, want := c.Contains(p), ref.contains(p); got != want {
+					t.Fatalf("%d-way, %d-set: after access %d, Contains(%#x)=%v, reference %v", ways, sets, i, uint64(p), got, want)
 				}
 			}
 		}
-		half := len(ops) / 2
-		drive(c, ref, ops[:half])
-		cc, cref := c.Clone(), ref.clone()
-		drive(c, ref, ops[half:])
-		drive(cc, cref, ops[half:])
 	})
 }

@@ -35,20 +35,16 @@ const (
 type frontend struct {
 	ic  *cache.Cache
 	l2  *cache.Cache
-	dir predictor.Direction
+	dir *predictor.TAGE
 	ras *predictor.RAS // nil when returns are predicted by the BTB
 }
 
-// newFrontend builds cold frontend structures under p. dir is the direction
-// predictor (nil selects a default TAGE); withRAS false leaves the RAS out,
-// for a core that routes returns through the BTB.
-func newFrontend(p *Params, dir predictor.Direction, withRAS bool) (frontend, error) {
-	if dir == nil {
-		tage, err := predictor.NewTAGE(predictor.DefaultTAGEConfig())
-		if err != nil {
-			return frontend{}, err
-		}
-		dir = tage
+// newFrontend builds cold frontend structures under p; withRAS false leaves
+// the RAS out, for a core that routes returns through the BTB.
+func newFrontend(p *Params, withRAS bool) (frontend, error) {
+	dir, err := predictor.NewTAGE(predictor.DefaultTAGEConfig())
+	if err != nil {
+		return frontend{}, err
 	}
 	ic, err := cache.New(p.ICacheBytes, p.ICacheWays, p.ICacheLineBytes)
 	if err != nil {

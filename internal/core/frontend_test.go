@@ -31,7 +31,7 @@ func TestFrontendFootprint(t *testing.T) {
 
 	p := Icelake()
 	host := allocated(func() error {
-		_, err := newFrontend(&p, nil, true)
+		_, err := newFrontend(&p, true)
 		return err
 	})
 	t.Logf("newFrontend(Icelake()): %.1f KiB", float64(host)/1024)

@@ -41,7 +41,7 @@ func NewSession(cfg Config, name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	se.sim.fe, err = newFrontend(&cfg.Params, cfg.Direction, !cfg.StoreReturnsInBTB)
+	se.sim.fe, err = newFrontend(&cfg.Params, !cfg.StoreReturnsInBTB)
 	if err != nil {
 		return nil, err
 	}

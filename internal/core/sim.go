@@ -44,8 +44,6 @@ type Config struct {
 
 	// BTB is the target predictor under evaluation.
 	BTB btb.TargetPredictor
-	// Direction predicts conditional branches (nil selects a default TAGE).
-	Direction predictor.Direction
 	// PerfectDirection short-circuits direction prediction (§5.5).
 	PerfectDirection bool
 	// ITTAGE, when non-nil, serves indirect branches instead of the BTB

@@ -46,14 +46,12 @@ func (w *WarmState) Records() uint64 { return uint64(len(w.recs)) }
 // warm state built with base (nil = compatible). The frontend half reads
 // only the ICache and L2 geometry and the RAS depth, so any other core
 // parameter and either core model may differ from base's. Incompatible
-// designs — a custom direction predictor, another frontend geometry,
-// wrong-path pollution (which feeds BTB predictions back into the shared
-// caches) or another window — must fall back to a cold RunContext.
+// designs — another frontend geometry, wrong-path pollution (which feeds
+// BTB predictions back into the shared caches) or another window — must
+// fall back to a cold RunContext.
 func WarmupCompatible(base, cfg Config) error {
 	b, c := &base.Params, &cfg.Params
 	switch {
-	case cfg.Direction != nil:
-		return errors.New("core: warm state unavailable: custom direction predictor")
 	case c.ICacheBytes != b.ICacheBytes || c.ICacheWays != b.ICacheWays ||
 		c.ICacheLineBytes != b.ICacheLineBytes || c.L2Bytes != b.L2Bytes ||
 		c.L2Ways != b.L2Ways || c.RASEntries != b.RASEntries:
@@ -89,7 +87,7 @@ func WarmupContext(ctx context.Context, cfg Config, src trace.Source) (*WarmStat
 	if cfg.WarmupInstrs == 0 {
 		return nil, errors.New("core: warm state unavailable: no warmup window")
 	}
-	fe, err := newFrontend(&cfg.Params, nil, true)
+	fe, err := newFrontend(&cfg.Params, true)
 	if err != nil {
 		return nil, err
 	}

@@ -82,9 +82,11 @@ func designDigest(d *Design) string {
 			defer func() { recover() }()
 			cfg := core.Config{Params: core.Icelake()}
 			d.Mod(&cfg)
-			fmt.Fprintf(h, "|params=%+v|cpi=%g|perfdir=%t|ittage=%t|dir=%t|rets=%t|pipe=%t|measure=%d",
+			// dir is always false now that a config cannot carry its own
+			// direction predictor; it stays so older checkpoints resume.
+			fmt.Fprintf(h, "|params=%+v|cpi=%g|perfdir=%t|ittage=%t|dir=false|rets=%t|pipe=%t|measure=%d",
 				cfg.Params, cfg.BackendCPI, cfg.PerfectDirection, cfg.ITTAGE != nil,
-				cfg.Direction != nil, cfg.StoreReturnsInBTB, cfg.UsePipeline, cfg.MeasureInstrs)
+				cfg.StoreReturnsInBTB, cfg.UsePipeline, cfg.MeasureInstrs)
 		}()
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

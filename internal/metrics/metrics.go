@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -68,29 +67,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
-// interpolation over the sorted values.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // Table renders aligned plain-text tables for experiment reports.
 type Table struct {
 	header []string
@@ -112,27 +88,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row of formatted values: strings pass through, float64
-// renders with %.3f, integers with %d.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		case int:
-			row = append(row, fmt.Sprintf("%d", v))
-		case uint64:
-			row = append(row, fmt.Sprintf("%d", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.AddRow(row...)
 }
 
 // String renders the table.

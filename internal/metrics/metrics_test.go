@@ -60,31 +60,10 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 50}, {50, 30}, {25, 20},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile not 0")
-	}
-	// Must not mutate input.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 || ys[1] != 1 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("design", "ipc", "mpki")
-	tb.AddRowf("baseline", 1.234, 10)
-	tb.AddRowf("pdede", 1.411, uint64(5))
+	tb.AddRow("baseline", "1.234", "10")
+	tb.AddRow("pdede", "1.411", "5")
 	tb.AddRow("short")
 	out := tb.String()
 	if !strings.Contains(out, "baseline") || !strings.Contains(out, "1.234") {

@@ -41,14 +41,6 @@ func (r *RAS) Pop() (addr.VA, bool) {
 	return r.stack[r.top], true
 }
 
-// Clone returns a deep copy sharing no mutable state with the receiver, so
-// a warmed stack can be handed to several independent simulations.
-func (r *RAS) Clone() *RAS {
-	d := *r
-	d.stack = append([]addr.VA(nil), r.stack...)
-	return &d
-}
-
 // Depth returns the number of live entries.
 func (r *RAS) Depth() int { return r.depth }
 

@@ -150,8 +150,6 @@ func NewTAGE(cfg TAGEConfig) (*TAGE, error) {
 	return t, nil
 }
 
-func (t *TAGE) Name() string { return "tage" }
-
 // histWord XORs the low histLen history bits into a single word — foldHist
 // minus the final width fold, so one history scan serves both the index and
 // the tag hash of a table.
@@ -191,7 +189,7 @@ func (t *TAGE) tagOf(tb *tageTable, pc addr.VA) uint16 {
 	return uint16(h&((1<<tb.tagBits)-1)) | tagValid
 }
 
-// Predict implements Direction.
+// Predict predicts a conditional branch at pc.
 func (t *TAGE) Predict(pc addr.VA) bool {
 	t.provTable = -1
 	pcMixIdx := addr.Mix64(uint64(pc) >> 1)
@@ -229,8 +227,8 @@ func (t *TAGE) slot(i int, pc addr.VA) (int, uint16) {
 	return t.index(tb, pc), t.tagOf(tb, pc)
 }
 
-// Update implements Direction. It must be called right after Predict for
-// the same branch (standard sequential-predictor contract).
+// Update trains on the resolved outcome. It must be called right after
+// Predict for the same branch (standard sequential-predictor contract).
 func (t *TAGE) Update(pc addr.VA, taken bool) {
 	correct := true
 	if t.provTable >= 0 {
@@ -314,24 +312,6 @@ func (t *TAGE) Update(pc addr.VA, taken bool) {
 	t.scratchOK = false
 }
 
-// Clone returns a deep copy of the predictor: every table, counter and
-// folded-history register is duplicated, so the clone and the receiver can
-// be driven independently and will diverge only with their inputs, as a
-// snapshot of warmed state must be.
-func (t *TAGE) Clone() *TAGE {
-	d := *t // scalars, ghist array, provider/scratch bookkeeping
-	d.base = t.base.Clone()
-	d.tables = make([]tageTable, len(t.tables))
-	for i := range t.tables {
-		tb := t.tables[i] // copies the per-table constants and fold registers
-		tb.tag = append([]uint16(nil), tb.tag...)
-		tb.ctr = append([]int8(nil), tb.ctr...)
-		tb.useful = append([]uint8(nil), tb.useful...)
-		d.tables[i] = tb
-	}
-	return &d
-}
-
 // foldShift advances a folded-history register by one history shift: rotate
 // the width-bit fold left by one (bit p mod width follows bit p to
 // (p+1) mod width), inject the incoming bit at position 0, and cancel the
@@ -344,7 +324,7 @@ func foldShift(f uint64, width uint, mask, in, out uint64, outShift uint) uint64
 	return f & mask
 }
 
-// StorageBits implements Direction.
+// StorageBits returns the predictor's storage.
 func (t *TAGE) StorageBits() uint64 {
 	bits := t.base.StorageBits() + 512
 	for i := range t.tables {
@@ -355,7 +335,7 @@ func (t *TAGE) StorageBits() uint64 {
 	return bits
 }
 
-// Reset implements Direction.
+// Reset returns the predictor to its cold state.
 func (t *TAGE) Reset() {
 	t.base.Reset()
 	for i := range t.tables {

@@ -170,32 +170,3 @@ func TestZipfNearUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestWeighted(t *testing.T) {
-	s := New(41)
-	counts := make([]int, 3)
-	const n = 90000
-	for i := 0; i < n; i++ {
-		counts[s.Weighted([]float64{1, 2, 6})]++
-	}
-	want := []float64{1.0 / 9, 2.0 / 9, 6.0 / 9}
-	for i, c := range counts {
-		if math.Abs(float64(c)/n-want[i]) > 0.01 {
-			t.Errorf("weight %d share = %v, want %v", i, float64(c)/n, want[i])
-		}
-	}
-}
-
-func TestWeightedPanics(t *testing.T) {
-	s := New(43)
-	for _, bad := range [][]float64{{0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Weighted(%v) should panic", bad)
-				}
-			}()
-			s.Weighted(bad)
-		}()
-	}
-}

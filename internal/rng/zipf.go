@@ -52,27 +52,3 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// Weighted picks an index from weights (non-negative, not all zero) with
-// probability proportional to its weight.
-func (s *Source) Weighted(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("rng: all weights zero")
-	}
-	u := s.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

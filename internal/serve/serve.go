@@ -171,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// A design that cannot build should fail at startup, not on the first
 	// tenant's first batch.
-	if _, err := newTenantSession(&cfg, "probe"); err != nil {
+	if _, err := cfg.NewSession("probe"); err != nil {
 		return nil, fmt.Errorf("serve: design %q cannot serve: %w", cfg.Design.Name, err)
 	}
 
@@ -224,12 +224,6 @@ func (cfg *Config) NewSession(name string) (*core.Session, error) {
 		cfg.Design.Mod(&cc)
 	}
 	return core.NewSession(cc, name)
-}
-
-// newTenantSession is the internal spelling used before defaults are
-// applied in New and by per-tenant rebuilds.
-func newTenantSession(cfg *Config, name string) (*core.Session, error) {
-	return cfg.NewSession(name)
 }
 
 // configDigest fingerprints everything that shapes a tenant's simulation:

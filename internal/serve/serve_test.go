@@ -456,7 +456,8 @@ func tenantGauge(body, name, tenant string) (float64, bool) {
 // TestJournalBytesPerRecord bounds what a tenant's journal holds per record
 // on the benchmark's serve-stream shape: 64 batches of 256 records from a
 // 300-branch synthetic program. The journal keeps each record's PDT1
-// delta encoding, not a 24-byte isa.Branch.
+// delta encoding, not a 24-byte isa.Branch, and its gauge reports the
+// journal's whole array: the records and the slack their appends left.
 func TestJournalBytesPerRecord(t *testing.T) {
 	const batches, batchRecs = 64, 256
 	_, ts := startServer(t, testConfig(t))
@@ -476,9 +477,13 @@ func TestJournalBytesPerRecord(t *testing.T) {
 		t.Fatalf("no journal gauge for tenant compact\n%s", body)
 	}
 	perRec := got / (batches * batchRecs)
-	t.Logf("journal: %.0f B for %d records, %.2f B/record", got, batches*batchRecs, perRec)
+	recBytes := float64(len(encodeBatch(t, "compact", recs)) - len(encodeBatch(t, "compact", nil)))
+	t.Logf("journal: %.0f B array for %.0f B of records, %.2f B/record", got, recBytes, perRec)
 	if perRec > 8 {
 		t.Errorf("journal holds %.2f B/record, want at most 8", perRec)
+	}
+	if got <= recBytes || got > 2*recBytes {
+		t.Errorf("journal gauge reads %.0f B for %.0f B of records; want its array's size, above the records' and within twice them", got, recBytes)
 	}
 }
 

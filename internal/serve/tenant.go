@@ -252,7 +252,7 @@ func (t *tenant) ensureSessionLocked(s *Server) *reply {
 	if t.sess != nil {
 		return nil
 	}
-	se, err := newTenantSession(&s.cfg, t.name)
+	se, err := s.cfg.NewSession(t.name)
 	if err != nil {
 		rep := errReply(http.StatusInternalServerError, CodeInternal, false,
 			"building simulator for %s: %v", t.name, err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/isa"
@@ -24,10 +25,12 @@ import (
 // Delta encoding keeps hot loops to a few bytes per record: branch PCs
 // revisit a small working set and targets are usually near their branch.
 //
-// The v2 format ("PDTZ", pdtz.go) keeps the same per-record delta scheme but
-// groups records into independently decodable blocks with a seekable index,
-// trading the v1 stream's byte-at-a-time decode for zero-copy batched decode
-// out of a single mapping.
+// The v2 format ("PDTZ", pdtz.go) groups the same records into
+// independently decodable blocks with a seekable index, decoded zero-copy
+// out of a single mapping. This file is the only code that knows a
+// record's bytes: appendRecord encodes one for both containers and the
+// serve journal, and decodeRecords decodes them, through the batch decoder
+// and the checked decoder.
 const magic = "PDT1"
 
 const (
@@ -139,13 +142,157 @@ func varint(p []byte) (int64, int, error) {
 	return x, n, err
 }
 
-// decodeRecord decodes the record at the front of p into b, given the PC
-// of the record before it, and returns the bytes it spans. The
-// end-of-stream trailer returns io.EOF and spans one byte. A failure names
-// the field it hit, leaves b as it was and returns the bytes a
-// byte-at-a-time reader consumes before failing; a p that ends mid-record
-// fails with io.ErrUnexpectedEOF. Every PDT1 record is decoded here: by
-// Decoder over its buffered window, and by RecordLog over its own bytes.
+// decodeBatch is the batch decoder: it decodes records from the front of p
+// into buf, given the PC of the record before them, and returns how many
+// it decoded and the bytes they span. It takes a record only while at
+// least maxRecordLen bytes of p are left, so no field read can run past
+// p's end, and it stops at the trailer and at any record that fails a
+// check. It accepts exactly what decodeRecord accepts, which decodes or
+// reports the record it stopped at (decodeRecords). It must not allocate.
+func decodeBatch(buf []isa.Branch, p []byte, prevPC addr.VA) (n, used int) {
+	pos := 0
+	prev := int64(prevPC)
+	for ; n < len(buf) && pos+maxRecordLen <= len(p); n++ {
+		flags := p[pos]
+		kind := isa.Kind(flags >> kindShift)
+		if kind >= isa.NumKinds { // the trailer's kind is out of range too
+			return n, pos
+		}
+		// Delta varint lengths flip record to record (a near target is
+		// 1-2 bytes, a cross-page jump 3+), so a byte-at-a-time loop eats
+		// a branch mispredict per field. The ≤3-byte case — all but a few
+		// percent of records — decodes branchlessly from one 32-bit load:
+		// length from the first clear continuation bit, payload bits
+		// gathered with masks, truncated by length. Longer varints take
+		// the byte loop here, in line, so a record with a far delta (one
+		// in eleven on the oltp capture) does not leave the loop.
+		q := pos + 1
+		blockLen := uint64(p[q])
+		q++
+		if blockLen > 0x7f {
+			blockLen &= 0x7f
+			for s := uint(7); ; s += 7 {
+				if s > 63 {
+					return n, pos
+				}
+				b := p[q]
+				q++
+				if b < 0x80 {
+					if s == 63 && b > 1 {
+						return n, pos
+					}
+					blockLen |= uint64(b) << s
+					break
+				}
+				blockLen |= uint64(b&0x7f) << s
+			}
+		}
+		if blockLen == 0 || blockLen > isa.MaxBlockLen {
+			return n, pos
+		}
+		w32 := binary.LittleEndian.Uint32(p[q:])
+		var upc uint64
+		if w32&0x808080 != 0x808080 {
+			l := (bits.TrailingZeros32(^w32&0x808080) + 1) >> 3
+			e := w32&0x7f | (w32&0x7f00)>>1 | (w32&0x7f0000)>>2
+			upc = uint64(e) & (1<<(7*uint(l)) - 1)
+			q += l
+		} else {
+			upc = uint64(w32) & 0x7f
+			q++
+			for s := uint(7); ; s += 7 {
+				if s > 63 {
+					return n, pos
+				}
+				b := p[q]
+				q++
+				if b < 0x80 {
+					if s == 63 && b > 1 {
+						return n, pos
+					}
+					upc |= uint64(b) << s
+					break
+				}
+				upc |= uint64(b&0x7f) << s
+			}
+		}
+		pcDelta := int64(upc>>1) ^ -int64(upc&1)
+		w32 = binary.LittleEndian.Uint32(p[q:])
+		var utd uint64
+		if w32&0x808080 != 0x808080 {
+			l := (bits.TrailingZeros32(^w32&0x808080) + 1) >> 3
+			e := w32&0x7f | (w32&0x7f00)>>1 | (w32&0x7f0000)>>2
+			utd = uint64(e) & (1<<(7*uint(l)) - 1)
+			q += l
+		} else {
+			utd = uint64(w32) & 0x7f
+			q++
+			for s := uint(7); ; s += 7 {
+				if s > 63 {
+					return n, pos
+				}
+				b := p[q]
+				q++
+				if b < 0x80 {
+					if s == 63 && b > 1 {
+						return n, pos
+					}
+					utd |= uint64(b) << s
+					break
+				}
+				utd |= uint64(b&0x7f) << s
+			}
+		}
+		targetDelta := int64(utd>>1) ^ -int64(utd&1)
+		pos = q
+		pc := addr.New(uint64(prev + pcDelta))
+		buf[n] = isa.Branch{
+			PC:       pc,
+			Target:   addr.New(uint64(int64(pc) + targetDelta)),
+			BlockLen: uint16(blockLen),
+			Kind:     kind,
+			Taken:    flags&flagTaken != 0,
+		}
+		prev = int64(pc)
+	}
+	return n, pos
+}
+
+// decodeRecords fills buf from the front of p, given the PC of the record
+// before it: the batch decoder takes what it can, and decodeRecord each
+// record it stops at. When more of the stream may follow p (final false),
+// it returns instead where fewer than maxRecordLen bytes are left, so the
+// caller can refill p first. It returns the records decoded and the bytes
+// consumed; when decodeRecord stops it, those bytes include the ones the
+// stopping record took, and field and err are decodeRecord's (io.EOF at the
+// trailer). Every reader of either container decodes through here.
+func decodeRecords(buf []isa.Branch, p []byte, prevPC addr.VA, final bool) (n, used int, field string, err error) {
+	for n < len(buf) {
+		k, m := decodeBatch(buf[n:], p[used:], prevPC)
+		n, used = n+k, used+m
+		if k > 0 {
+			prevPC = buf[n-1].PC
+		}
+		if n == len(buf) || !final && len(p)-used < maxRecordLen {
+			break
+		}
+		m, field, err = decodeRecord(&buf[n], p[used:], prevPC)
+		used += m
+		if err != nil {
+			return n, used, field, err
+		}
+		prevPC = buf[n].PC
+		n++
+	}
+	return n, used, "", nil
+}
+
+// decodeRecord is the checked decoder: it decodes the record at the front
+// of p into b, given the PC of the record before it, and returns the bytes
+// it spans. The end-of-stream trailer returns io.EOF and spans one byte. A
+// failure names the field it hit, leaves b as it was and returns the bytes
+// a byte-at-a-time reader consumes before failing; a p that ends
+// mid-record fails with io.ErrUnexpectedEOF.
 func decodeRecord(b *isa.Branch, p []byte, prevPC addr.VA) (n int, field string, err error) {
 	if len(p) == 0 {
 		return 0, "truncated stream", io.ErrUnexpectedEOF
@@ -193,12 +340,12 @@ func decodeRecord(b *isa.Branch, p []byte, prevPC addr.VA) (n int, field string,
 // corrupt file can be diagnosed (and resumed) precisely instead of
 // surfacing as a bare unexpected-EOF. A mid-record EOF reads as
 // io.ErrUnexpectedEOF, so a truncated stream is never mistaken for a
-// clean end of trace.
-func recordError(rec, off int64, field string, err error) error {
+// clean end of trace. pkg names the container: "trace" or "pdtz".
+func recordError(pkg string, rec, off int64, field string, err error) error {
 	if errors.Is(err, io.EOF) {
 		err = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("trace: record %d at byte offset %d: %s: %w", rec, off, field, err)
+	return fmt.Errorf("%s: record %d at byte offset %d: %s: %w", pkg, rec, off, field, err)
 }
 
 // countingByteReader counts the header bytes NewDecoder consumes, so the
@@ -271,58 +418,52 @@ func (d *Decoder) Name() string { return d.name }
 // Offset returns the number of bytes consumed from the underlying stream.
 func (d *Decoder) Offset() int64 { return d.off }
 
-// Records returns how many records have been decoded so far.
-func (d *Decoder) Records() int64 { return d.rec }
-
-// Next implements Reader.
+// Next implements Reader: a batch of one record.
 func (d *Decoder) Next() (isa.Branch, error) {
-	var b isa.Branch
-	err := d.next(&b)
-	return b, err
+	var one [1]isa.Branch
+	if _, err := d.NextBatch(one[:]); err != nil {
+		return isa.Branch{}, err
+	}
+	return one[0], nil
 }
 
-// next decodes the next record into b, out of the buffered reader's
-// window. It refills the window whenever less than the longest record's
-// length is left in it, unless the stream has ended (or failed). Over a
-// live pipe, a record therefore returns once the stream has reached that
-// length past its start.
-func (d *Decoder) next(b *isa.Branch) error {
-	if d.done {
-		return io.EOF
-	}
-	if len(d.win)-d.used < maxRecordLen && d.perr == nil {
-		d.br.Discard(d.used)
-		d.used = 0
-		_, d.perr = d.br.Peek(maxRecordLen)
-		d.win, _ = d.br.Peek(d.br.Buffered())
-	}
-	n, field, err := decodeRecord(b, d.win[d.used:], d.prevPC)
-	d.used += n
-	d.off += int64(n)
-	if err == io.EOF {
-		d.done = true
-		return io.EOF
-	}
-	if err != nil {
-		if err == io.ErrUnexpectedEOF && d.perr != nil {
-			err = d.perr // the window ended where the stream did
-		}
-		return recordError(d.rec, d.off, field, err)
-	}
-	d.prevPC = b.PC
-	d.rec++
-	return nil
-}
-
-// NextBatch implements BatchReader: it decodes records back-to-back
-// straight into buf. Decoded records preceding an error are returned
-// alongside it; the error carries the failing record's index and byte
-// offset (see recordError).
+// NextBatch implements BatchReader: it decodes records straight into buf,
+// out of the buffered reader's window. It refills the window whenever less
+// than the longest record's length is left in it, unless the stream has
+// ended (or failed); over a live pipe, a record therefore returns once the
+// stream has reached that length past its start. Decoded records preceding
+// an error are returned alongside it; the error carries the failing
+// record's index and byte offset (see recordError).
 func (d *Decoder) NextBatch(buf []isa.Branch) (int, error) {
-	for i := range buf {
-		if err := d.next(&buf[i]); err != nil {
-			return i, err
+	n := 0
+	for n < len(buf) {
+		if d.done {
+			return n, io.EOF
+		}
+		if len(d.win)-d.used < maxRecordLen && d.perr == nil {
+			d.br.Discard(d.used)
+			d.used = 0
+			_, d.perr = d.br.Peek(maxRecordLen)
+			d.win, _ = d.br.Peek(d.br.Buffered())
+		}
+		k, used, field, err := decodeRecords(buf[n:], d.win[d.used:], d.prevPC, d.perr != nil)
+		n += k
+		d.used += used
+		d.off += int64(used)
+		d.rec += int64(k)
+		if k > 0 {
+			d.prevPC = buf[n-1].PC
+		}
+		if err == io.EOF {
+			d.done = true
+			return n, io.EOF
+		}
+		if err != nil {
+			if err == io.ErrUnexpectedEOF && d.perr != nil {
+				err = d.perr // the window ended where the stream did
+			}
+			return n, recordError("trace", d.rec, d.off, field, err)
 		}
 	}
-	return len(buf), nil
+	return n, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/isa"
 	"repro/internal/rng"
 )
@@ -137,6 +138,70 @@ func FuzzPdtzRoundTrip(f *testing.F) {
 		for i := range recs {
 			if m2.Records[i] != recs[i] {
 				t.Fatalf("round trip changed record %d: %+v -> %+v", i, recs[i], m2.Records[i])
+			}
+		}
+	})
+}
+
+// FuzzBatchDecoder holds the batch decoder to the checked one on arbitrary
+// record bytes, the reference check of the loop every reader of either
+// container runs: every record decodeBatch returns, decodeRecord returns
+// identically and with the same length, and where decodeBatch stops with at
+// least maxRecordLen bytes left, decodeRecord fails or hits the trailer.
+func FuzzBatchDecoder(f *testing.F) {
+	pad := make([]byte, maxRecordLen)
+	far := uint64(1) << 40
+	wide := make([]isa.Branch, 40)
+	for i := range wide {
+		base := addr.New(far * uint64(i%5))
+		wide[i] = isa.Branch{
+			PC: base.Add(uint64(i) << 9), Target: base.Add(far + uint64(i)),
+			BlockLen: uint16(1 + i*1601), Kind: isa.IndirectJump, Taken: true,
+		}
+	}
+	for _, recs := range [][]isa.Branch{makeTrace(1).Records, makeTrace(300).Records, wide} {
+		var l RecordLog
+		l.Append(recs)
+		f.Add(l.data, uint64(0))
+		f.Add(append(append([]byte{}, l.data...), pad...), uint64(0))
+		f.Add(append(append([]byte{}, l.data...), endOfStream), uint64(recs[0].PC))
+		f.Add(append([]byte{}, l.data[:len(l.data)/2]...), uint64(addr.Mask))
+	}
+	f.Add(append([]byte("\x02\x85\x00\x02\x04"), pad...), uint64(0))                                     // padded block length
+	f.Add(append([]byte("\x02\x05\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x00"), pad...), uint64(0))     // 10-byte pc delta
+	f.Add(append([]byte("\x02\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"), pad...), uint64(0))     // target delta overflows
+	f.Add(append([]byte("\x02\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00"), pad...), uint64(0)) // block length overflows
+	f.Add(append([]byte("\x02\x05\x02\x04\x0e\x05\x02\x04\xff"), pad...), uint64(0))                     // bad kind mid-stream
+	r := rng.New(53)
+	for i := 0; i < 8; i++ {
+		seed := make([]byte, r.Intn(96))
+		for j := range seed {
+			seed[j] = byte(r.Uint32())
+		}
+		f.Add(seed, r.Uint64())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, prev uint64) {
+		prevPC := addr.New(prev)
+		buf := make([]isa.Branch, len(data)/minRecordBytes+1) // never the limit
+		n, used := decodeBatch(buf, data, prevPC)
+		off, pc := 0, prevPC
+		for i, got := range buf[:n] {
+			var want isa.Branch
+			m, field, err := decodeRecord(&want, data[off:], pc)
+			if err != nil || got != want {
+				t.Fatalf("record %d at byte %d: batch decoder returns %+v; decodeRecord %+v, %s: %v", i, off, got, want, field, err)
+			}
+			off += m
+			pc = want.PC
+		}
+		if off != used {
+			t.Fatalf("batch decoder's %d records span %d bytes; decodeRecord's span %d", n, used, off)
+		}
+		if len(data)-used >= maxRecordLen {
+			var b isa.Branch
+			if m, _, err := decodeRecord(&b, data[used:], pc); err == nil {
+				t.Fatalf("batch decoder stopped at byte %d, on a %d-byte record decodeRecord accepts: %+v", used, m, b)
 			}
 		}
 	})

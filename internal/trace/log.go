@@ -35,8 +35,9 @@ func (l *RecordLog) Append(recs []isa.Branch) {
 // Len returns the number of records in the log.
 func (l *RecordLog) Len() int { return l.n }
 
-// Size returns the bytes the log's records take.
-func (l *RecordLog) Size() int { return len(l.data) }
+// Size returns the bytes the log's array holds: its capacity, which is what
+// the log costs in memory, slack that appends leave included.
+func (l *RecordLog) Size() int { return cap(l.data) }
 
 // Stream returns the log as a complete PDT1 stream named name.
 func (l *RecordLog) Stream(name string) []byte {
@@ -46,7 +47,7 @@ func (l *RecordLog) Stream(name string) []byte {
 }
 
 // Open returns a BatchReader over the records the log holds now.
-func (l *RecordLog) Open() BatchReader { return &logReader{data: l.data} }
+func (l *RecordLog) Open() BatchReader { return &logReader{data: l.data, left: l.n} }
 
 // ParseRecordLog validates every record of a PDT1 stream and returns them
 // as a log that keeps the stream's record bytes; bytes after the trailer
@@ -76,7 +77,7 @@ func ParseRecordLog(stream []byte) (*RecordLog, error) {
 			return l, nil
 		}
 		if err != nil {
-			return nil, recordError(int64(l.n), int64(hdr+off+n), field, err)
+			return nil, recordError("trace", int64(l.n), int64(hdr+off+n), field, err)
 		}
 		enc = appendRecord(enc[:0], b, l.lastPC)
 		switch {
@@ -95,38 +96,35 @@ func ParseRecordLog(stream []byte) (*RecordLog, error) {
 type logReader struct {
 	data   []byte
 	off    int
+	left   int // records not yet decoded; the log's count ends it
 	rec    int64
 	prevPC addr.VA
 }
 
-// Next implements Reader.
+// Next implements Reader: a batch of one record.
 func (r *logReader) Next() (isa.Branch, error) {
-	var b isa.Branch
-	err := r.next(&b)
-	return b, err
-}
-
-func (r *logReader) next(b *isa.Branch) error {
-	if r.off == len(r.data) {
-		return io.EOF
+	var one [1]isa.Branch
+	if _, err := r.NextBatch(one[:]); err != nil {
+		return isa.Branch{}, err
 	}
-	n, field, err := decodeRecord(b, r.data[r.off:], r.prevPC)
-	if err != nil {
-		// Only a record Append was not allowed to take gets here.
-		return recordError(r.rec, int64(r.off+n), field, err)
-	}
-	r.off += n
-	r.rec++
-	r.prevPC = b.PC
-	return nil
+	return one[0], nil
 }
 
 // NextBatch implements BatchReader.
 func (r *logReader) NextBatch(buf []isa.Branch) (int, error) {
-	for i := range buf {
-		if err := r.next(&buf[i]); err != nil {
-			return i, err
-		}
+	if r.left == 0 {
+		return 0, io.EOF
 	}
-	return len(buf), nil
+	k, used, field, err := decodeRecords(buf[:min(len(buf), r.left)], r.data[r.off:], r.prevPC, true)
+	r.off += used
+	r.left -= k
+	r.rec += int64(k)
+	if k > 0 {
+		r.prevPC = buf[k-1].PC
+	}
+	if err != nil {
+		// Only a record Append was not allowed to take gets here.
+		return k, recordError("trace", r.rec, int64(r.off), field, err)
+	}
+	return k, nil
 }

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/isa"
@@ -14,12 +12,12 @@ import (
 
 // Binary trace format v2 ("PDTZ") — the paper-scale streaming codec.
 //
-// The v1 format (codec.go) is a single delta stream decoded one byte at a
-// time through an io.ByteReader; fine for tooling, too slow for replaying a
-// multi-gigabyte ingested trace once per (app, design) cell. v2 keeps the
-// same per-record delta scheme but arranges the file so a whole trace can be
-// mapped read-only and decoded in batches straight out of the mapping, with
-// no per-record allocation or interface dispatch:
+// The v1 format (codec.go) is a single delta stream read front to back
+// through a buffered reader; fine for tooling and serve batches, but a
+// multi-gigabyte ingested trace replayed once per (app, design) cell wants
+// no copy at all. v2 keeps the same records but arranges the file so a
+// whole trace can be mapped read-only and decoded in batches straight out
+// of the mapping, with no per-record allocation or interface dispatch:
 //
 //	file     := header block* sentinel index footer
 //	header   := "PDTZ" version(0x02) uvarint(len(name)) name
@@ -34,12 +32,11 @@ import (
 //	                                                   ; later ones delta-coded
 //	footer   := uint64le(indexOffset) "ZEND"
 //
-// flags/blockLen/deltas are exactly the v1 record fields (bit0 taken,
-// bits1-3 kind). Each block is independently decodable: basePC seeds the PC
-// delta chain (the encoder stores the block's first PC there and a zero
-// first delta), so readers can start at any index entry without replaying
-// the prefix — which is also what lets several readers stream one shared
-// mapping concurrently.
+// A record is exactly a v1 record (codec.go encodes and decodes both). Each
+// block is independently decodable: basePC seeds the PC delta chain (the
+// encoder stores the block's first PC there and a zero first delta), so
+// readers can start at any index entry without replaying the prefix — which
+// is also what lets several readers stream one shared mapping concurrently.
 const (
 	magicV2   = "PDTZ"
 	versionV2 = 0x02
@@ -54,12 +51,6 @@ const (
 	// against it so a corrupt count cannot claim more records than the
 	// payload could possibly hold.
 	minRecordBytes = 4
-
-	// maxRecordBytes bounds a v2 record from above: the flags byte plus
-	// three 10-byte varints. The writer pads every payload with this many
-	// zero bytes so the decoder's fast path can read a whole record with a
-	// single up-front bounds check instead of one per field.
-	maxRecordBytes = 1 + 3*binary.MaxVarintLen64
 )
 
 // DefaultBlockRecords is the records-per-block target WritePdtz uses. 4K
@@ -68,18 +59,15 @@ const (
 const DefaultBlockRecords = 4096
 
 // WritePdtz encodes a full trace to w in the v2 block format with the
-// default block size. See WritePdtzBlocks for the error contract.
+// default block size. Errors from the source reader or from short writes
+// are annotated with the failing record index and the output byte offset
+// already flushed.
 func WritePdtz(w io.Writer, name string, r Reader) error {
-	return WritePdtzBlocks(w, name, r, DefaultBlockRecords)
+	return writePdtzBlocks(w, name, r, DefaultBlockRecords)
 }
 
-// WritePdtzBlocks encodes a full trace to w with blockRecords records per
-// block. Errors from the source reader or from short writes are annotated
-// with the failing record index and the output byte offset already flushed.
-func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error {
-	if blockRecords <= 0 {
-		blockRecords = DefaultBlockRecords
-	}
+// writePdtzBlocks is WritePdtz with blockRecords records per block.
+func writePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error {
 	if len(name) > 1<<16 {
 		return fmt.Errorf("pdtz: unreasonable name length %d", len(name))
 	}
@@ -112,7 +100,7 @@ func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error
 	}
 	var (
 		index   []indexEntry
-		payload bytes.Buffer
+		payload []byte
 		batch   = make([]isa.Branch, blockRecords)
 		rec     int64 // global record index of the batch head
 		srcEOF  bool
@@ -128,39 +116,26 @@ func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error
 		if n == 0 {
 			break
 		}
-		payload.Reset()
-		var enc [binary.MaxVarintLen64]byte
-		m := binary.PutUvarint(enc[:], uint64(n))
-		payload.Write(enc[:m])
+		// The block's first PC is the base of its delta chain, so its
+		// first record's PC delta is zero.
 		base := batch[0].PC
-		m = binary.PutUvarint(enc[:], uint64(base))
-		payload.Write(enc[:m])
+		payload = binary.AppendUvarint(payload[:0], uint64(n))
+		payload = binary.AppendUvarint(payload, uint64(base))
 		prev := base
-		for i := 0; i < n; i++ {
-			b := batch[i]
-			flags := byte(b.Kind) << kindShift
-			if b.Taken {
-				flags |= flagTaken
-			}
-			payload.WriteByte(flags)
-			m = binary.PutUvarint(enc[:], uint64(b.BlockLen))
-			payload.Write(enc[:m])
-			m = binary.PutVarint(enc[:], int64(b.PC)-int64(prev))
-			payload.Write(enc[:m])
-			m = binary.PutVarint(enc[:], int64(b.Target)-int64(b.PC))
-			payload.Write(enc[:m])
+		for _, b := range batch[:n] {
+			payload = appendRecord(payload, b, prev)
 			prev = b.PC
 		}
 		// Trailing zero padding lets the reader decode every record —
-		// including the block's last — through the single-bounds-check fast
-		// path. Padding bytes are covered by payloadLen and skipped by the
-		// record count.
-		payload.Write(make([]byte, maxRecordBytes))
+		// including the block's last — through the batch decoder, which
+		// takes a record only while maxRecordLen bytes are left. Padding
+		// bytes are covered by payloadLen and skipped by the record count.
+		payload = append(payload, make([]byte, maxRecordLen)...)
 		index = append(index, indexEntry{off: cw.off, count: n})
-		if err := writeUvarint(uint64(payload.Len()), fmt.Sprintf("block %d length", len(index)-1)); err != nil {
+		if err := writeUvarint(uint64(len(payload)), fmt.Sprintf("block %d length", len(index)-1)); err != nil {
 			return err
 		}
-		if _, err := cw.Write(payload.Bytes()); err != nil {
+		if _, err := cw.Write(payload); err != nil {
 			return fmt.Errorf("pdtz: writing block %d (records %d..%d) at byte offset %d: %w",
 				len(index)-1, rec, rec+int64(n)-1, cw.off, err)
 		}
@@ -330,29 +305,9 @@ func (z *Pdtz) Name() string { return z.name }
 // Records returns the total record count, from the index.
 func (z *Pdtz) Records() uint64 { return z.records }
 
-// Blocks returns the number of blocks in the file.
-func (z *Pdtz) Blocks() int { return len(z.blocks) }
-
 // Open implements Source: each call returns an independent zero-copy reader
 // over the shared backing bytes.
 func (z *Pdtz) Open() Reader { return &BlockReader{z: z} }
-
-// OpenBlocks returns a BlockReader positioned at block first (inclusive)
-// ending after block last (exclusive; last <= 0 or > Blocks() means "to the
-// end"). Blocks are independently decodable, so this is how a sharded
-// consumer splits one mapped trace.
-func (z *Pdtz) OpenBlocks(first, last int) (*BlockReader, error) {
-	if first < 0 || first > len(z.blocks) {
-		return nil, fmt.Errorf("pdtz: block %d out of range [0,%d]", first, len(z.blocks))
-	}
-	if last <= 0 || last > len(z.blocks) {
-		last = len(z.blocks)
-	}
-	if last < first {
-		return nil, fmt.Errorf("pdtz: empty block range [%d,%d)", first, last)
-	}
-	return &BlockReader{z: z, block: first, lastBlock: last}, nil
-}
 
 // Close releases the mapping, if any. The Pdtz must not be used afterwards,
 // so the teardown writes below never race a reader.
@@ -374,38 +329,21 @@ func (z *Pdtz) Close() error {
 // is single-goroutine state; open one per concurrent consumer (Open is
 // cheap and the backing bytes are shared).
 type BlockReader struct {
-	z         *Pdtz
-	block     int // index of the next block to load
-	lastBlock int // exclusive end block; 0 means "all" (set lazily)
+	z     *Pdtz
+	block int // index of the next block to load
 
-	payload   []byte // current block's payload
-	pos       int    // decode cursor within payload
-	remaining int    // records left in the current block
-	prev      int64  // previous record's PC (delta chain state)
-	start     int64  // absolute file offset of payload[0], for errors
-	rec       int64  // global index of the next record
-}
-
-// corrupt builds a positioned decode error: global record index plus the
-// absolute byte offset within the backing file.
-//
-// Kept out of line: inlined into NextBatch, the fmt boxing of its
-// arguments becomes heap-escape sites inside the batch decode loop's
-// body, breaking that function's zero-allocation contract and bloating
-// its frame for a path only corrupt inputs reach.
-//
-//go:noinline
-func (r *BlockReader) corrupt(field string) error {
-	return fmt.Errorf("pdtz: record %d at byte offset %d: %s", r.rec, r.start+int64(r.pos), field)
+	payload   []byte  // current block's payload
+	pos       int     // decode cursor within payload
+	remaining int     // records left in the current block
+	prev      addr.VA // previous record's PC (delta chain state)
+	start     int64   // absolute file offset of payload[0], for errors
+	rec       int64   // global index of the next record
 }
 
 // nextBlock advances to the next block, priming the delta chain from the
 // block's basePC. Returns io.EOF past the last block.
 func (r *BlockReader) nextBlock() error {
-	if r.lastBlock == 0 {
-		r.lastBlock = len(r.z.blocks)
-	}
-	if r.block >= r.lastBlock {
+	if r.block >= len(r.z.blocks) {
 		return io.EOF
 	}
 	b := r.z.blocks[r.block]
@@ -427,7 +365,7 @@ func (r *BlockReader) nextBlock() error {
 	r.payload = payload
 	r.pos = o
 	r.remaining = b.count
-	r.prev = int64(addr.New(basePC))
+	r.prev = addr.New(basePC)
 	r.start = b.start
 	r.rec = b.firstAt
 	r.block++
@@ -436,11 +374,10 @@ func (r *BlockReader) nextBlock() error {
 
 // NextBatch implements BatchReader. It fills buf with up to len(buf)
 // records, crossing block boundaries as needed, and returns io.EOF (with
-// any records decoded before it) at the clean end of the trace.
-//
-// The decode loop — including the branchless varint fast path — must not
-// allocate; error construction is outlined (corrupt, nextBlock) to keep
-// every heap-escape site off this body.
+// any records decoded before it) at the clean end of the trace. A block's
+// record count ends it: a corrupt record, the end of the payload or a
+// trailer byte before the count fails with the record's index and the byte
+// offset the failure left the file at.
 func (r *BlockReader) NextBatch(buf []isa.Branch) (int, error) {
 	n := 0
 	for n < len(buf) {
@@ -449,190 +386,27 @@ func (r *BlockReader) NextBatch(buf []isa.Branch) (int, error) {
 				return n, err
 			}
 		}
-		p := r.payload
-		pos := r.pos
-		prev := r.prev
-		want := r.remaining
-		if left := len(buf) - n; want > left {
-			want = left
+		want := min(r.remaining, len(buf)-n)
+		k, used, field, err := decodeRecords(buf[n:n+want], r.payload[r.pos:], r.prev, true)
+		n += k
+		r.pos += used
+		r.remaining -= k
+		r.rec += int64(k)
+		if k > 0 {
+			r.prev = buf[n-1].PC
 		}
-		// Error exits jump to bad, which syncs the cursor to the failure
-		// point (r.pos/r.prev/r.remaining) so the error carries the right
-		// offset and a retry re-fails there. Plain locals + goto keep the
-		// cursor variables in registers through the hot loop.
-		//
-		// Records with at least maxRecordBytes of payload left (every record
-		// in a writer-padded block) take the fast path: one bounds check up
-		// front, then hand-inlined varint decode with a single-byte fast
-		// case. The tail path uses the checked binary.Uvarint/Varint
-		// routines; both paths accept exactly the standard varint encodings.
-		var fault string
-		var i int
-		for ; i < want; i++ {
-			var flags byte
-			var kind isa.Kind
-			var blockLen uint64
-			var pcDelta, targetDelta int64
-			if pos+maxRecordBytes <= len(p) {
-				flags = p[pos]
-				kind = isa.Kind(flags >> kindShift)
-				if kind >= isa.NumKinds {
-					fault = "invalid kind"
-					goto bad
-				}
-				// Delta varint lengths flip record to record (a near target
-				// is 1-2 bytes, a cross-page jump 3+), so a byte-at-a-time
-				// loop eats a branch mispredict per field. The ≤3-byte case
-				// — all of them in practice — decodes branchlessly from one
-				// 32-bit load: length from the first clear continuation bit,
-				// payload bits gathered with masks, truncated by length.
-				q := pos + 1
-				blockLen = uint64(p[q])
-				q++
-				if blockLen > 0x7f {
-					blockLen &= 0x7f
-					for s := uint(7); ; s += 7 {
-						if s > 63 {
-							fault = "invalid block length"
-							goto bad
-						}
-						b := p[q]
-						q++
-						if b < 0x80 {
-							if s == 63 && b > 1 {
-								fault = "invalid block length"
-								goto bad
-							}
-							blockLen |= uint64(b) << s
-							break
-						}
-						blockLen |= uint64(b&0x7f) << s
-					}
-				}
-				if blockLen == 0 || blockLen > isa.MaxBlockLen {
-					fault = "invalid block length"
-					goto bad
-				}
-				w32 := binary.LittleEndian.Uint32(p[q:])
-				var upc uint64
-				if w32&0x808080 != 0x808080 {
-					l := (bits.TrailingZeros32(^w32&0x808080) + 1) >> 3
-					e := w32&0x7f | (w32&0x7f00)>>1 | (w32&0x7f0000)>>2
-					upc = uint64(e) & (1<<(7*uint(l)) - 1)
-					q += l
-				} else {
-					upc = uint64(w32) & 0x7f
-					q++
-					for s := uint(7); ; s += 7 {
-						if s > 63 {
-							fault = "invalid pc delta"
-							goto bad
-						}
-						b := p[q]
-						q++
-						if b < 0x80 {
-							if s == 63 && b > 1 {
-								fault = "invalid pc delta"
-								goto bad
-							}
-							upc |= uint64(b) << s
-							break
-						}
-						upc |= uint64(b&0x7f) << s
-					}
-				}
-				pcDelta = int64(upc>>1) ^ -int64(upc&1)
-				w32 = binary.LittleEndian.Uint32(p[q:])
-				var utd uint64
-				if w32&0x808080 != 0x808080 {
-					l := (bits.TrailingZeros32(^w32&0x808080) + 1) >> 3
-					e := w32&0x7f | (w32&0x7f00)>>1 | (w32&0x7f0000)>>2
-					utd = uint64(e) & (1<<(7*uint(l)) - 1)
-					q += l
-				} else {
-					utd = uint64(w32) & 0x7f
-					q++
-					for s := uint(7); ; s += 7 {
-						if s > 63 {
-							fault = "invalid target delta"
-							goto bad
-						}
-						b := p[q]
-						q++
-						if b < 0x80 {
-							if s == 63 && b > 1 {
-								fault = "invalid target delta"
-								goto bad
-							}
-							utd |= uint64(b) << s
-							break
-						}
-						utd |= uint64(b&0x7f) << s
-					}
-				}
-				targetDelta = int64(utd>>1) ^ -int64(utd&1)
-				pos = q
-			} else {
-				if pos >= len(p) {
-					fault = "payload exhausted before record count"
-					goto bad
-				}
-				flags = p[pos]
-				pos++
-				kind = isa.Kind(flags >> kindShift)
-				if kind >= isa.NumKinds {
-					pos--
-					fault = "invalid kind"
-					goto bad
-				}
-				var w int
-				blockLen, w = binary.Uvarint(p[pos:])
-				if w <= 0 || blockLen == 0 || blockLen > isa.MaxBlockLen {
-					fault = "invalid block length"
-					goto bad
-				}
-				pos += w
-				pcDelta, w = binary.Varint(p[pos:])
-				if w <= 0 {
-					fault = "invalid pc delta"
-					goto bad
-				}
-				pos += w
-				targetDelta, w = binary.Varint(p[pos:])
-				if w <= 0 {
-					fault = "invalid target delta"
-					goto bad
-				}
-				pos += w
+		if err != nil {
+			if err == io.EOF {
+				field = "end-of-stream marker inside a block"
 			}
-			pc := addr.New(uint64(prev + pcDelta))
-			buf[n] = isa.Branch{
-				PC:       pc,
-				Target:   addr.New(uint64(int64(pc) + targetDelta)),
-				BlockLen: uint16(blockLen),
-				Kind:     kind,
-				Taken:    flags&flagTaken != 0,
-			}
-			prev = int64(pc)
-			n++
+			return n, recordError("pdtz", r.rec, r.start+int64(r.pos), field, err)
 		}
-		r.pos = pos
-		r.prev = prev
-		r.remaining -= want
-		r.rec += int64(want)
-		continue
-	bad:
-		r.pos, r.prev, r.remaining = pos, prev, r.remaining-i
-		r.rec += int64(i)
-		return n, r.corrupt(fault)
 	}
 	return n, nil
 }
 
-// Next implements Reader: the single-record path decodes through the same
-// state machine as NextBatch. The one-record buffer must stay on the
-// stack (NextBatch's buf parameter does not escape) and the constant
-// index needs no bounds check.
+// Next implements Reader: a batch of one record. The one-record buffer
+// must stay on the stack (NextBatch's buf parameter does not escape).
 func (r *BlockReader) Next() (isa.Branch, error) {
 	var one [1]isa.Branch
 	n, err := r.NextBatch(one[:])

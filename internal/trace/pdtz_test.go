@@ -65,8 +65,8 @@ func TestPdtzEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.Records() != 0 || z.Blocks() != 0 {
-		t.Errorf("empty trace: %d records, %d blocks", z.Records(), z.Blocks())
+	if z.Records() != 0 || len(z.blocks) != 0 {
+		t.Errorf("empty trace: %d records, %d blocks", z.Records(), len(z.blocks))
 	}
 	if _, err := z.Open().Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("empty trace Next err = %v, want EOF", err)
@@ -98,15 +98,15 @@ func makeTrace(n int) *Memory {
 func TestPdtzMultiBlock(t *testing.T) {
 	m := makeTrace(10_000)
 	var buf bytes.Buffer
-	if err := WritePdtzBlocks(&buf, m.TraceName, m.Open(), 512); err != nil {
+	if err := writePdtzBlocks(&buf, m.TraceName, m.Open(), 512); err != nil {
 		t.Fatal(err)
 	}
 	z, err := ParsePdtz(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (10_000 + 511) / 512; z.Blocks() != want {
-		t.Errorf("Blocks = %d, want %d", z.Blocks(), want)
+	if want := (10_000 + 511) / 512; len(z.blocks) != want {
+		t.Errorf("%d blocks, want %d", len(z.blocks), want)
 	}
 	if got := collectAll(t, z.Open()); !reflect.DeepEqual(got, m.Records) {
 		t.Fatal("batch path mismatch")
@@ -120,7 +120,7 @@ func TestPdtzMultiBlock(t *testing.T) {
 	}
 	// decode → re-encode is byte-identical (same block size).
 	var again bytes.Buffer
-	if err := WritePdtzBlocks(&again, z.Name(), z.Open(), 512); err != nil {
+	if err := writePdtzBlocks(&again, z.Name(), z.Open(), 512); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -179,7 +179,7 @@ func TestPdtzAdversarialDeltas(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m := &Memory{TraceName: name, Records: recs}
 			var buf bytes.Buffer
-			if err := WritePdtzBlocks(&buf, name, m.Open(), 257); err != nil {
+			if err := writePdtzBlocks(&buf, name, m.Open(), 257); err != nil {
 				t.Fatal(err)
 			}
 			z, err := ParsePdtz(buf.Bytes())
@@ -231,7 +231,7 @@ func TestPdtzRoundTripQuick(t *testing.T) {
 		}
 		m := &Memory{TraceName: "q", Records: recs}
 		var buf bytes.Buffer
-		if err := WritePdtzBlocks(&buf, "q", m.Open(), 1+int(blockSeed)%9); err != nil {
+		if err := writePdtzBlocks(&buf, "q", m.Open(), 1+int(blockSeed)%9); err != nil {
 			return false
 		}
 		z, err := ParsePdtz(buf.Bytes())
@@ -250,41 +250,12 @@ func TestPdtzRoundTripQuick(t *testing.T) {
 	}
 }
 
-// OpenBlocks shards a trace: the concatenation of disjoint block ranges
-// equals the sequential stream.
-func TestPdtzOpenBlocks(t *testing.T) {
-	m := makeTrace(5000)
-	var buf bytes.Buffer
-	if err := WritePdtzBlocks(&buf, m.TraceName, m.Open(), 512); err != nil {
-		t.Fatal(err)
-	}
-	z, err := ParsePdtz(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var joined []isa.Branch
-	mid := z.Blocks() / 2
-	for _, span := range [][2]int{{0, mid}, {mid, z.Blocks()}} {
-		br, err := z.OpenBlocks(span[0], span[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		joined = append(joined, collectAll(t, br)...)
-	}
-	if !reflect.DeepEqual(joined, m.Records) {
-		t.Error("sharded reads do not concatenate to the sequential stream")
-	}
-	if _, err := z.OpenBlocks(-1, 0); err == nil {
-		t.Error("negative first block accepted")
-	}
-}
-
 // Corrupt payloads must produce positioned errors, never panics, and the
 // records decoded before the corruption must still be delivered.
 func TestPdtzCorruptPayload(t *testing.T) {
 	m := makeTrace(600)
 	var buf bytes.Buffer
-	if err := WritePdtzBlocks(&buf, m.TraceName, m.Open(), 512); err != nil {
+	if err := writePdtzBlocks(&buf, m.TraceName, m.Open(), 512); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

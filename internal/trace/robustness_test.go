@@ -51,19 +51,3 @@ func TestDecoderNeverPanicsWithValidHeader(t *testing.T) {
 		}
 	}
 }
-
-// Limit and Skip must compose: skip W then limit M covers exactly the
-// window in the middle.
-func TestWindowComposition(t *testing.T) {
-	m := sampleTrace()
-	win := &Limit{R: &Skip{R: m.Open(), SkipInstrs: 5}, MaxInstrs: 7}
-	got, err := Collect("win", win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Record 0 (5 instrs) covers the skip; records 1 (2) and 2 (5) cover
-	// the 7-instruction window.
-	if len(got.Records) != 2 || got.Records[0] != m.Records[1] {
-		t.Fatalf("window = %+v", got.Records)
-	}
-}

@@ -121,55 +121,3 @@ func Collect(name string, r Reader) (*Memory, error) {
 		recs = append(recs, b)
 	}
 }
-
-// Limit wraps a Reader, ending the stream after the record that crosses
-// maxInstrs total instructions. A zero maxInstrs means no limit.
-type Limit struct {
-	R         Reader
-	MaxInstrs uint64
-
-	seen uint64
-	done bool
-}
-
-// Next implements Reader.
-func (l *Limit) Next() (isa.Branch, error) {
-	if l.done {
-		return isa.Branch{}, io.EOF
-	}
-	b, err := l.R.Next()
-	if err != nil {
-		return isa.Branch{}, err
-	}
-	l.seen += uint64(b.BlockLen)
-	if l.MaxInstrs != 0 && l.seen >= l.MaxInstrs {
-		l.done = true
-	}
-	return b, nil
-}
-
-// Skip discards records until skipInstrs instructions have passed, then
-// yields the rest. It models the warmup window: the caller typically runs
-// structures over the skipped prefix separately.
-type Skip struct {
-	R          Reader
-	SkipInstrs uint64
-
-	skipped bool
-}
-
-// Next implements Reader.
-func (s *Skip) Next() (isa.Branch, error) {
-	if !s.skipped {
-		var seen uint64
-		for seen < s.SkipInstrs {
-			b, err := s.R.Next()
-			if err != nil {
-				return isa.Branch{}, err
-			}
-			seen += uint64(b.BlockLen)
-		}
-		s.skipped = true
-	}
-	return s.R.Next()
-}

@@ -42,50 +42,6 @@ func TestInstructions(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	m := sampleTrace()
-	lim := &Limit{R: m.Open(), MaxInstrs: 7}
-	got, err := Collect("lim", lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 instrs, then 2 → reaches 7 exactly at record 2; record 3 excluded.
-	if len(got.Records) != 2 {
-		t.Fatalf("Limit kept %d records, want 2", len(got.Records))
-	}
-	// Zero means unlimited.
-	all, _ := Collect("all", &Limit{R: m.Open()})
-	if len(all.Records) != 4 {
-		t.Errorf("unlimited Limit kept %d records", len(all.Records))
-	}
-}
-
-func TestSkip(t *testing.T) {
-	m := sampleTrace()
-	sk := &Skip{R: m.Open(), SkipInstrs: 6}
-	got, err := Collect("skip", sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Records 0 (5 instrs) and 1 (2 instrs) cover the 6-instr warmup.
-	if len(got.Records) != 2 || got.Records[0] != m.Records[2] {
-		t.Fatalf("Skip yielded %d records starting %+v", len(got.Records), got.Records[0])
-	}
-	// Zero skip passes everything through.
-	all, _ := Collect("all", &Skip{R: m.Open()})
-	if len(all.Records) != 4 {
-		t.Errorf("zero Skip kept %d records", len(all.Records))
-	}
-}
-
-func TestSkipPastEnd(t *testing.T) {
-	m := sampleTrace()
-	sk := &Skip{R: m.Open(), SkipInstrs: 1000}
-	if _, err := sk.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("Skip past end: err = %v, want EOF", err)
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	m := sampleTrace()
 	var buf bytes.Buffer

@@ -19,8 +19,7 @@ type Executor struct {
 	r     *rng.Source
 	zipf  *rng.Zipf
 	out   []isa.Branch
-	sink  func(isa.Branch) bool // non-nil for streaming execution
-	count uint64                // instructions emitted so far
+	count uint64 // instructions emitted so far
 	limit uint64
 
 	// dispatchStart marks e.count at the current driver dispatch; once a
@@ -107,16 +106,6 @@ func (e *Executor) run() {
 }
 
 func (e *Executor) emit(b isa.Branch) {
-	if e.sink != nil {
-		if !e.sink(b) {
-			// Consumer cancelled: burn the remaining budget so every loop
-			// and recursion unwinds promptly.
-			e.count = e.limit + uint64(b.BlockLen)
-			return
-		}
-		e.count += uint64(b.BlockLen)
-		return
-	}
 	e.out = append(e.out, b)
 	e.count += uint64(b.BlockLen)
 }
