@@ -9,8 +9,7 @@
 //
 // Resilience (long sweeps):
 //
-//	pdede-experiments -run fig10 -keep-going -retries 2 -timeout 5m \
-//	    -checkpoint fig10.ckpt
+//	pdede-experiments -run fig10 -keep-going -timeout 5m -checkpoint fig10.ckpt
 //
 // Sweeps run on a worker pool: -workers (default: the CPU count) bounds
 // concurrent trace builds, shared frontend passes and (app, design)
@@ -20,10 +19,9 @@
 // to cross-check).
 //
 // -keep-going records per-app failures (reported on stderr) instead of
-// aborting the sweep; -timeout bounds each app's wall clock; -retries
-// re-attempts transient per-app failures with capped exponential backoff;
-// -checkpoint persists completed (app, design) results after every app so
-// an interrupted or partially-failed run resumes where it left off.
+// aborting the sweep; -timeout bounds each app's wall clock; -checkpoint
+// persists completed (app, design) results after every app so an
+// interrupted or partially-failed run resumes where it left off.
 // SIGINT/SIGTERM cancel the run context: in-flight apps stop at the next
 // loop check and everything already completed is in the checkpoint.
 // Failures exit non-zero even when the report was written. -o writes its
@@ -71,9 +69,7 @@ func run(args []string) (code int) {
 		out     = fs.String("o", "", "also write the report to this file")
 		dump    = fs.String("dump-suite", "", "run the Figure 10 designs over the suite and write per-app JSON records to this file")
 		ckpt    = fs.String("checkpoint", "", "persist completed (app, design) results to this file and resume from it")
-		timeout = fs.Duration("timeout", 0, "per-app wall-clock budget across designs and retries (0 = none)")
-		retries = fs.Int("retries", 0, "extra attempts per app after a transient failure")
-		backoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base retry delay (doubles per attempt, capped, jittered)")
+		timeout = fs.Duration("timeout", 0, "per-app wall-clock budget across designs (0 = none)")
 		keep    = fs.Bool("keep-going", false, "record per-app failures and keep sweeping instead of aborting on the first")
 		check   = fs.Bool("selfcheck", false, "deep-audit every design's internal invariants every few thousand records (slower; fails on the first violation)")
 		workers = fs.Int("workers", runtime.NumCPU(), "worker pool size for trace builds, shared frontend passes and (app, design) simulation cells; results are bit-identical for every value")
@@ -120,8 +116,6 @@ func run(args []string) (code int) {
 		ColdStart:    *cold,
 
 		AppTimeout:     *timeout,
-		Retries:        *retries,
-		RetryBackoff:   *backoff,
 		KeepGoing:      *keep,
 		CheckpointPath: *ckpt,
 	}

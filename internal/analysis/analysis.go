@@ -204,11 +204,3 @@ func ratio(num, den uint64) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// MPKIDenominator converts an event count into per-kilo-instruction units.
-func (c *Characterization) MPKIDenominator(events uint64) float64 {
-	if c.Instructions == 0 {
-		return 0
-	}
-	return float64(events) * 1000 / float64(c.Instructions)
-}

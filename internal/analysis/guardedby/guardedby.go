@@ -47,9 +47,8 @@ var Analyzer = &lintkit.Analyzer{
 	Run:  run,
 }
 
-// scope: the concurrent experiment harness, the multi-tenant service, and
-// the trace layer's concurrently-opened fault-injection sources.
-var scope = []string{"internal/experiments", "internal/serve", "internal/trace"}
+// scope: the concurrent experiment harness and the multi-tenant service.
+var scope = []string{"internal/experiments", "internal/serve"}
 
 func run(pass *lintkit.Pass) error {
 	if !pass.InScope(scope) {

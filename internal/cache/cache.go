@@ -124,9 +124,6 @@ func (c *Cache) Contains(a addr.VA) bool {
 	return slices.Contains(c.tags[base:base+c.ways], word)
 }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return 1 << c.lineShift }
-
 // AccessRange touches every line overlapping [lo, hi], lo <= hi, and
 // returns the number of misses. The frontend uses it to fetch a basic block.
 func (c *Cache) AccessRange(lo, hi addr.VA) int {

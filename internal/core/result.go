@@ -68,14 +68,6 @@ func (r *Result) BTBMPKI() float64 {
 	return float64(r.BTBMisses()) * 1000 / float64(r.Instructions)
 }
 
-// ClassMPKI returns the per-class BTB MPKI.
-func (r *Result) ClassMPKI(c isa.Class) float64 {
-	if r.Instructions == 0 {
-		return 0
-	}
-	return float64(r.BTBMissByClass[c]) * 1000 / float64(r.Instructions)
-}
-
 // DirMPKI returns direction mispredicts per kilo-instruction.
 func (r *Result) DirMPKI() float64 {
 	if r.Instructions == 0 {

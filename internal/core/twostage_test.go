@@ -87,7 +87,7 @@ func TestRunContextTwoStageFaults(t *testing.T) {
 		plan trace.FaultPlan
 		want error
 	}{
-		{"FailAt", trace.FaultPlan{FailAt: 3*recordBatch + 17}, trace.ErrTransient},
+		{"FailAt", trace.FaultPlan{FailAt: 3*recordBatch + 17}, trace.ErrInjected},
 		{"TruncateAt", trace.FaultPlan{TruncateAt: 5*recordBatch - 1}, io.ErrUnexpectedEOF},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,19 +13,19 @@ import (
 	"repro/internal/core"
 )
 
-// checkpointVersion guards the on-disk schema. Version 2 added the seed
-// and per-design configuration digests.
+// checkpointVersion guards the on-disk schema. Version 2 added the
+// per-design configuration digests. Files written by earlier builds also
+// carry a "seed" key, which loading ignores, so they still resume.
 const checkpointVersion = 2
 
 // checkpointFile is the JSON document persisted between runs. Results are
-// keyed by (app, design); the window options, seed and design digests are
-// stored so a checkpoint is never silently reused for a differently-scaled
-// or differently-configured sweep.
+// keyed by (app, design); the window options and design digests are stored
+// so a checkpoint is never silently reused for a differently-scaled or
+// differently-configured sweep.
 type checkpointFile struct {
 	Version      int               `json:"version"`
 	TotalInstrs  uint64            `json:"total_instrs"`
 	WarmupInstrs uint64            `json:"warmup_instrs"`
-	Seed         uint64            `json:"seed"`
 	Designs      map[string]string `json:"design_digests,omitempty"`
 	Apps         []checkpointEntry `json:"apps"`
 }
@@ -37,16 +37,12 @@ type checkpointEntry struct {
 
 // CheckpointMeta identifies the sweep a checkpoint belongs to. A resume is
 // only valid when every field recorded in the file is compatible: equal
-// windows and seed, and — for each design name the file has seen before —
-// an equal configuration digest. Designs the file has not seen are merged
-// in, so experiments sharing a design set can share one checkpoint.
+// windows, and — for each design name the file has seen before — an equal
+// configuration digest. Designs the file has not seen are merged in, so
+// experiments sharing a design set can share one checkpoint.
 type CheckpointMeta struct {
 	TotalInstrs  uint64
 	WarmupInstrs uint64
-	// Seed is Options.Seed. It only feeds retry jitter today, but it is
-	// part of the run's identity, so mixing results across seeds is
-	// conservatively refused.
-	Seed uint64
 	// Designs maps design name → configuration digest (see DesignDigests).
 	Designs map[string]string
 }
@@ -113,9 +109,9 @@ type Checkpoint struct {
 
 // LoadCheckpoint opens (or initializes) the checkpoint at path for the
 // sweep identified by meta. A missing file is an empty checkpoint; an
-// existing file recorded under different windows, a different seed, or a
-// different digest for a design name this sweep also uses is an error,
-// since its results would not be comparable.
+// existing file recorded under different windows, or with a different
+// digest for a design name this sweep also uses, is an error, since its
+// results would not be comparable.
 func LoadCheckpoint(path string, meta CheckpointMeta) (*Checkpoint, error) {
 	c := &Checkpoint{
 		path:    path,
@@ -143,10 +139,6 @@ func LoadCheckpoint(path string, meta CheckpointMeta) (*Checkpoint, error) {
 	if f.TotalInstrs != meta.TotalInstrs || f.WarmupInstrs != meta.WarmupInstrs {
 		return nil, fmt.Errorf("checkpoint %s: recorded for %d/%d instr windows, this run uses %d/%d (delete it or match the options)",
 			path, f.TotalInstrs, f.WarmupInstrs, meta.TotalInstrs, meta.WarmupInstrs)
-	}
-	if f.Seed != meta.Seed {
-		return nil, fmt.Errorf("checkpoint %s: recorded with seed %d, this run uses %d (delete it or match the options)",
-			path, f.Seed, meta.Seed)
 	}
 	for name, dig := range f.Designs {
 		c.designs[name] = dig
@@ -212,7 +204,6 @@ func (c *Checkpoint) flushLocked() error {
 		Version:      checkpointVersion,
 		TotalInstrs:  c.meta.TotalInstrs,
 		WarmupInstrs: c.meta.WarmupInstrs,
-		Seed:         c.meta.Seed,
 		Designs:      c.designs,
 	}
 	apps := make([]string, 0, len(c.done))

@@ -12,7 +12,6 @@ import (
 // Canonical design names used across experiments and reports.
 const (
 	NameBaseline    = "baseline-4K"
-	NameBaseline6K  = "baseline-6K"
 	NameBaseline8K  = "baseline-8K"
 	NameDedup       = "dedup-only"
 	NamePartition   = "partition-only"

@@ -33,7 +33,6 @@ func equivOpts(cat []workload.Config, workers int) Options {
 		TotalInstrs:  50_000,
 		WarmupInstrs: 18_000,
 		Workers:      workers,
-		Seed:         9,
 	}
 }
 
@@ -181,9 +180,9 @@ func TestWorkerCountCancellation(t *testing.T) {
 			unstarted := 0
 			for i := range suite.Apps {
 				a := &suite.Apps[i]
-				if a.Attempts == 0 {
+				if !a.Started {
 					if !a.Unstarted() {
-						t.Errorf("%s: attempts=0 but not Unstarted (err=%v, skipped=%v)",
+						t.Errorf("%s: not started but not Unstarted (err=%v, skipped=%v)",
 							a.App.Name, a.Err, a.Skipped)
 					}
 					if len(a.Results) != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -205,47 +206,7 @@ func TestKeepGoingPanicInPredictor(t *testing.T) {
 	}
 }
 
-func TestRetryThenSucceed(t *testing.T) {
-	cat := tinyCatalog(1)
-	opts := tinyOpts(cat)
-	opts.Retries = 3
-	var (
-		mu sync.Mutex
-		fs *trace.FaultSource
-	)
-	opts.BuildTrace = func(app workload.Config, total uint64) (trace.Source, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if fs == nil {
-			src, err := buildSource(app, total)
-			if err != nil {
-				return nil, err
-			}
-			// The first two readers fail mid-stream; later opens are clean.
-			fs = &trace.FaultSource{Src: src, Plan: trace.FaultPlan{FailAt: 10, TransientOpens: 2}}
-		}
-		return fs, nil
-	}
-	suite, err := NewRunner(opts).Run(tinyDesigns())
-	if err != nil {
-		t.Fatalf("retrying run failed: %v", err)
-	}
-	a := &suite.Apps[0]
-	if a.Err != nil || a.Attempts != 3 {
-		t.Errorf("attempts = %d err = %v, want 3 attempts and success", a.Attempts, a.Err)
-	}
-	if len(a.Results) != 2 {
-		t.Errorf("results = %d designs, want 2", len(a.Results))
-	}
-	// Opens: attempts 1 and 2 fail on the shared warmup pass's reader (the
-	// first reader the attempt opens), attempt 3 opens one clean reader for
-	// the warmup pass plus one per design cell.
-	if got := fs.Opens(); got != 5 {
-		t.Errorf("source opened %d times, want 5", got)
-	}
-}
-
-// failNthOpen fails (transiently) only its n-th reader. With one worker,
+// failNthOpen fails only its n-th reader. With one worker,
 // reader opens within an app are strictly ordered — warmup pass first,
 // then one per design cell in design order — so n selects exactly which
 // stage fails. Tests using it pin Workers to 1: under parallel cells the
@@ -261,53 +222,16 @@ func (f *failNthOpen) Name() string { return f.src.Name() }
 func (f *failNthOpen) Open() trace.Reader {
 	f.opens++
 	if f.opens == f.n {
-		return &trace.FaultReader{R: f.src.Open(), Plan: trace.FaultPlan{FailAt: 10, TransientOpens: 0}}
+		return &trace.FaultReader{R: f.src.Open(), Plan: trace.FaultPlan{FailAt: 10}}
 	}
 	return f.src.Open()
 }
 
-func TestRetrySkipsCompletedDesigns(t *testing.T) {
-	cat := tinyCatalog(1)
-	opts := tinyOpts(cat)
-	opts.Retries = 1
-	opts.Workers = 1 // deterministic open order: warmup, b256, b1k
-	var (
-		mu sync.Mutex
-		fs *failNthOpen
-	)
-	opts.BuildTrace = func(app workload.Config, total uint64) (trace.Source, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if fs == nil {
-			src, err := buildSource(app, total)
-			if err != nil {
-				return nil, err
-			}
-			fs = &failNthOpen{src: src, n: 3}
-		}
-		return fs, nil
-	}
-	suite, err := NewRunner(opts).Run(tinyDesigns())
-	if err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	a := &suite.Apps[0]
-	if a.Attempts != 2 || a.Err != nil || len(a.Results) != 2 {
-		t.Fatalf("attempts=%d err=%v results=%d, want a clean 2-attempt run", a.Attempts, a.Err, len(a.Results))
-	}
-	// Opens: attempt 1 = warmup (1, ok), b256 (2, ok), b1k (3, fails);
-	// attempt 2 = b1k only — a single pending design skips the shared
-	// warmup pass, so it opens one reader (4). A fifth open would mean the
-	// done-map was ignored and the completed design re-simulated.
-	if fs.opens != 4 {
-		t.Errorf("source opened %d times, want 4 (completed design must not rerun)", fs.opens)
-	}
-}
-
+// TestNonRetryableFailureIsNotRetried: a read fault fails its app, which
+// keeps the error and no results.
 func TestNonRetryableFailureIsNotRetried(t *testing.T) {
 	cat := tinyCatalog(1)
 	opts := tinyOpts(cat)
-	opts.Retries = 5
 	opts.KeepGoing = true
 	opts.BuildTrace = func(app workload.Config, total uint64) (trace.Source, error) {
 		src, err := buildSource(app, total)
@@ -318,8 +242,9 @@ func TestNonRetryableFailureIsNotRetried(t *testing.T) {
 	}
 	suite, _ := NewRunner(opts).Run(tinyDesigns())
 	a := &suite.Apps[0]
-	if a.Err == nil || a.Attempts != 1 {
-		t.Errorf("attempts=%d err=%v, want exactly 1 attempt for a permanent fault", a.Attempts, a.Err)
+	if !errors.Is(a.Err, io.ErrUnexpectedEOF) || !a.Started || len(a.Results) != 0 {
+		t.Errorf("started=%v err=%v results=%d, want a started app failed by the truncation",
+			a.Started, a.Err, len(a.Results))
 	}
 }
 
@@ -330,33 +255,6 @@ func TestRunContextCancelled(t *testing.T) {
 	_, err := NewRunner(opts).RunContext(ctx, tinyDesigns())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestBackoffDeterministicAndCapped(t *testing.T) {
-	o := Options{RetryBackoff: 10 * time.Millisecond, Seed: 7}
-	var prev []time.Duration
-	for round := 0; round < 2; round++ {
-		var seq []time.Duration
-		for attempt := 1; attempt <= 12; attempt++ {
-			d := o.backoff("some-app", attempt)
-			lo, hi := time.Duration(0), 16*o.RetryBackoff
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d: backoff %v outside [0, %v]", attempt, d, hi)
-			}
-			seq = append(seq, d)
-		}
-		if round == 1 {
-			for i := range seq {
-				if seq[i] != prev[i] {
-					t.Fatalf("backoff not deterministic: %v vs %v at attempt %d", seq[i], prev[i], i+1)
-				}
-			}
-		}
-		prev = seq
-	}
-	if d := (Options{}).backoff("x", 3); d != 0 {
-		t.Errorf("zero base backoff = %v, want 0", d)
 	}
 }
 
@@ -414,8 +312,8 @@ func TestCheckpointResumeSkipsCompletedApps(t *testing.T) {
 	}
 	for _, name := range []string{"tiny-0", "tiny-2"} {
 		a := appByName(t, suite2, name)
-		if !a.Skipped || a.Attempts != 0 || len(a.Results) != 2 {
-			t.Errorf("%s: skipped=%v attempts=%d results=%d, want checkpoint restore", name, a.Skipped, a.Attempts, len(a.Results))
+		if !a.Skipped || a.Started || len(a.Results) != 2 {
+			t.Errorf("%s: skipped=%v started=%v results=%d, want checkpoint restore", name, a.Skipped, a.Started, len(a.Results))
 		}
 	}
 	a := appByName(t, suite2, "tiny-1")
@@ -456,7 +354,7 @@ func TestCheckpointPartialApp(t *testing.T) {
 		}
 		return fs, nil
 	}
-	suite, _ := NewRunner(opts).Run(tinyDesigns()) // no retries: 2nd design fails
+	suite, _ := NewRunner(opts).Run(tinyDesigns()) // 2nd design fails
 	if a := &suite.Apps[0]; a.Err == nil || len(a.Results) != 1 {
 		t.Fatalf("setup: err=%v results=%d, want 1 completed design and an error", a.Err, len(a.Results))
 	}
@@ -555,7 +453,7 @@ func TestKeepGoingExperimentReport(t *testing.T) {
 }
 
 // Apps cancelled while still queued are interruptions, not failures:
-// Attempts stays 0, Suite.Err stays clean, and the interruption surfaces
+// Started stays false, Suite.Err stays clean, and the interruption surfaces
 // as RunContext's returned error.
 func TestCancelledQueuedAppsAreNotFailures(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -569,9 +467,9 @@ func TestCancelledQueuedAppsAreNotFailures(t *testing.T) {
 	}
 	for i := range suite.Apps {
 		a := &suite.Apps[i]
-		if !a.Unstarted() || a.Attempts != 0 {
-			t.Errorf("%s: unstarted=%v attempts=%d err=%v, want queued-cancelled marker",
-				a.App.Name, a.Unstarted(), a.Attempts, a.Err)
+		if !a.Unstarted() || a.Started {
+			t.Errorf("%s: unstarted=%v started=%v err=%v, want queued-cancelled marker",
+				a.App.Name, a.Unstarted(), a.Started, a.Err)
 		}
 	}
 	if got := suite.Err(); got != nil {

@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/btb"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -55,24 +53,9 @@ type Options struct {
 	ColdStart bool
 
 	// AppTimeout bounds one app's wall-clock budget across all its designs
-	// and retries (0 = no deadline). A timed-out app is recorded as failed
-	// with context.DeadlineExceeded.
+	// (0 = no deadline). A timed-out app is recorded as failed with
+	// context.DeadlineExceeded.
 	AppTimeout time.Duration
-	// Retries is the number of extra attempts after a retryable failure
-	// (so Retries = 2 allows up to 3 attempts). Designs that completed in
-	// an earlier attempt are not re-simulated.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; it doubles
-	// per attempt, capped at 16x, with deterministic jitter derived from
-	// the app name and Seed (no wall-clock randomness). 0 = retry
-	// immediately, which keeps tests instant.
-	RetryBackoff time.Duration
-	// Retryable classifies errors worth another attempt. nil retries only
-	// transient trace faults (errors.Is(err, trace.ErrTransient)); panics
-	// and deadline expiries are never retried.
-	Retryable func(error) bool
-	// Seed feeds the deterministic backoff jitter.
-	Seed uint64
 
 	// KeepGoing aggregates failures instead of failing fast: Run returns a
 	// Suite holding every completed app, each failed app carries its Err,
@@ -82,8 +65,8 @@ type Options struct {
 	// CheckpointPath enables checkpoint/resume: completed (app, design)
 	// results are atomically persisted after each app, and a later run
 	// with the same path skips them. Resume is refused when the window
-	// options, Seed, or a shared design's configuration digest changed
-	// since the checkpoint was written (stale results must not mix in).
+	// options or a shared design's configuration digest changed since the
+	// checkpoint was written (stale results must not mix in).
 	CheckpointPath string
 
 	// Catalog overrides the application catalog (nil = workload.Catalog()).
@@ -129,35 +112,7 @@ func (o Options) normalized() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
 	return o
-}
-
-// retryable reports whether err is worth another attempt under o.
-func (o Options) retryable(err error) bool {
-	if o.Retryable != nil {
-		return o.Retryable(err)
-	}
-	return errors.Is(err, trace.ErrTransient)
-}
-
-// backoff returns the deterministic delay before retry number attempt
-// (1-based): capped exponential in RetryBackoff with jitter in [0.5, 1.0)
-// drawn from a stream keyed by (Seed, app).
-func (o Options) backoff(app string, attempt int) time.Duration {
-	if o.RetryBackoff <= 0 {
-		return 0
-	}
-	d := o.RetryBackoff << (attempt - 1)
-	if max := 16 * o.RetryBackoff; d > max || d <= 0 {
-		d = max
-	}
-	h := fnv.New64a()
-	h.Write([]byte(app))
-	jr := rng.New(o.Seed ^ h.Sum64()).Fork(uint64(attempt))
-	return time.Duration((0.5 + 0.5*jr.Float64()) * float64(d))
 }
 
 // Design names a BTB configuration under test: a fresh predictor per run
@@ -181,13 +136,13 @@ type AppResult struct {
 	// Err is non-nil when the app failed (build error, run error, panic,
 	// or deadline); Results then holds whatever designs completed before
 	// the failure. Cancelling a sweep also manufactures per-app context
-	// errors: apps still queued stay Unstarted (Attempts == 0) and are
-	// excluded from Suite.Err, while apps cancelled mid-simulation keep
-	// their context error as a (partial-run) failure.
+	// errors: apps still queued stay Unstarted and are excluded from
+	// Suite.Err, while apps cancelled mid-simulation keep their context
+	// error as a (partial-run) failure.
 	Err error
-	// Attempts counts how many times the app was attempted (0 for apps
+	// Started marks an app whose simulation began (false for apps
 	// restored wholesale from a checkpoint).
-	Attempts int
+	Started bool
 	// Skipped marks an app whose every design was restored from the
 	// checkpoint, so nothing was re-simulated.
 	Skipped bool
@@ -197,12 +152,12 @@ type AppResult struct {
 // result set.
 func (a *AppResult) Failed() bool { return a.Err != nil }
 
-// Unstarted reports whether the app was cancelled while still queued: no
-// attempt ever ran (Attempts == 0) and Err is a bare context error. Such
-// apps were interrupted, not broken, so Suite.Err excludes them;
-// RunContext reports the interruption via the context's error instead.
+// Unstarted reports whether the app was cancelled while still queued: its
+// simulation never began and Err is a bare context error. Such apps were
+// interrupted, not broken, so Suite.Err excludes them; RunContext reports
+// the interruption via the context's error instead.
 func (a *AppResult) Unstarted() bool {
-	return a.Attempts == 0 && !a.Skipped &&
+	return !a.Started && !a.Skipped &&
 		(errors.Is(a.Err, context.Canceled) || errors.Is(a.Err, context.DeadlineExceeded))
 }
 
@@ -218,7 +173,7 @@ type Suite struct {
 }
 
 // Err joins every per-app failure (nil when the whole suite succeeded).
-// Apps cancelled before their first attempt (see Unstarted) are excluded:
+// Apps cancelled before they started (see Unstarted) are excluded:
 // an interrupted sweep should not report the queued remainder as broken
 // apps alongside the one real failure that may have cancelled it.
 func (s *Suite) Err() error {
@@ -433,12 +388,12 @@ func (r *Runner) Run(designs []Design) (*Suite, error) {
 // keeps results, reports, checkpoints and error text bit-identical for
 // every worker count.
 //
-// Each app runs isolated: panics become per-app errors, AppTimeout bounds
-// its wall clock, and retryable failures are re-attempted up to
-// Opts.Retries times. Without KeepGoing the first failure cancels the
-// remaining apps and is returned alone; with KeepGoing every app runs,
-// failures land in AppResult.Err (joined by Suite.Err), and RunContext
-// errors only when the context is cancelled or no app succeeded at all.
+// Each app runs once and isolated: panics become per-app errors and
+// AppTimeout bounds its wall clock. Without KeepGoing the first failure
+// cancels the remaining apps and is returned alone; with KeepGoing every
+// app runs, failures land in AppResult.Err (joined by Suite.Err), and
+// RunContext errors only when the context is cancelled or no app
+// succeeded at all.
 // With CheckpointPath set, completed results are persisted after each app
 // and already-completed (app, design) pairs are skipped on resume.
 func (r *Runner) RunContext(ctx context.Context, designs []Design) (*Suite, error) {
@@ -454,7 +409,6 @@ func (r *Runner) RunContext(ctx context.Context, designs []Design) (*Suite, erro
 		ckpt, err = LoadCheckpoint(r.Opts.CheckpointPath, CheckpointMeta{
 			TotalInstrs:  r.Opts.TotalInstrs,
 			WarmupInstrs: r.Opts.WarmupInstrs,
-			Seed:         r.Opts.Seed,
 			Designs:      DesignDigests(designs),
 		})
 		if err != nil {
@@ -495,12 +449,10 @@ func (r *Runner) RunContext(ctx context.Context, designs []Design) (*Suite, erro
 
 			res := r.runApp(runCtx, workers, apps[i], designs, ckpt)
 			if res.Err == nil && !res.Skipped {
-				r.logf("runner: app %s ok (%d designs, %d attempt(s))",
-					apps[i].Name, len(res.Results), res.Attempts)
+				r.logf("runner: app %s ok (%d designs)", apps[i].Name, len(res.Results))
 			}
 			if res.Err != nil {
-				r.logf("runner: app %s FAILED after %d attempt(s): %v",
-					apps[i].Name, res.Attempts, res.Err)
+				r.logf("runner: app %s FAILED: %v", apps[i].Name, res.Err)
 			}
 			if ckpt != nil && len(res.Results) > 0 && !res.Skipped {
 				if err := ckpt.Record(apps[i].Name, res.Results); err != nil {
@@ -541,9 +493,9 @@ func (r *Runner) RunContext(ctx context.Context, designs []Design) (*Suite, erro
 }
 
 // runApp runs one application across all designs with checkpoint reuse,
-// retries, a per-app deadline and panic isolation. It always returns a
-// populated AppResult (never a zero value): on failure Err is set and
-// Results holds the designs that did complete.
+// a per-app deadline and panic isolation. It always returns a populated
+// AppResult (never a zero value): on failure Err is set and Results holds
+// the designs that did complete.
 func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config, designs []Design, ckpt *Checkpoint) AppResult {
 	out := AppResult{App: app, Results: make(map[string]*core.Result, len(designs))}
 	restored := make(map[string]bool, len(designs))
@@ -564,7 +516,7 @@ func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config,
 		}
 	}
 
-	// Cancelled before any work: leave Attempts at 0 so the app reads as
+	// Cancelled before any work: leave Started false so the app reads as
 	// unstarted (see AppResult.Unstarted) rather than failed.
 	if err := ctx.Err(); err != nil {
 		out.Err = err
@@ -578,34 +530,15 @@ func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config,
 		defer cancel()
 	}
 
-	for attempt := 1; ; attempt++ {
-		out.Attempts = attempt
-		err := r.runAppOnce(appCtx, workers, app, designs, out.Results)
-		if err == nil {
-			out.Err = nil
-			for _, d := range designs {
-				out.ByDesign = append(out.ByDesign, d.Name)
-			}
-			return out
-		}
-		out.Err = err
-		if appCtx.Err() != nil || attempt > r.Opts.Retries || !r.Opts.retryable(err) {
-			pruneResults(designs, restored, out.Results)
-			return out
-		}
-		r.logf("runner: app %s attempt %d failed (%v), retrying", app.Name, attempt, err)
-		if delay := r.Opts.backoff(app.Name, attempt); delay > 0 {
-			t := time.NewTimer(delay)
-			select {
-			case <-t.C:
-			case <-appCtx.Done():
-				t.Stop()
-				out.Err = appCtx.Err()
-				pruneResults(designs, restored, out.Results)
-				return out
-			}
-		}
+	out.Started = true
+	if out.Err = r.simulate(appCtx, workers, app, designs, out.Results); out.Err != nil {
+		pruneResults(designs, restored, out.Results)
+		return out
 	}
+	for _, d := range designs {
+		out.ByDesign = append(out.ByDesign, d.Name)
+	}
+	return out
 }
 
 // pruneResults restores the sequential runner's failure semantics on a
@@ -614,9 +547,7 @@ func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config,
 // (which stops at the first failing design) would never have produced.
 // Dropping every non-checkpointed success past the first missing design
 // makes the surviving result set — and hence checkpoint files and reports
-// — bit-identical for every worker count. Successes are only pruned on
-// the app's final (failed) return: across retries the full done map is
-// kept so completed designs are not re-simulated.
+// — bit-identical for every worker count.
 func pruneResults(designs []Design, restored map[string]bool, done map[string]*core.Result) {
 	minMissing := len(designs)
 	for i := range designs {
@@ -632,16 +563,16 @@ func pruneResults(designs []Design, restored map[string]bool, done map[string]*c
 	}
 }
 
-// runAppOnce is a single attempt: build the trace, optionally run the
-// shared warmup pass, then fan every design not already in done (filled
-// in by checkpoint restore or earlier attempts) out to the worker pool as
-// one simulation cell each. Cell outcomes are reduced in design order:
-// every success is recorded so a retry never re-simulates it, and the
-// error of the earliest failing design is returned — the same design a
-// sequential attempt would have stopped at. Panics anywhere below —
-// workload generation, the warmup pass, predictor construction, the core
-// models — are recovered into *PanicError inside the job that hit them.
-func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Config, designs []Design, done map[string]*core.Result) error {
+// simulate builds the app's trace, optionally runs the shared warmup
+// pass, then fans every design not already in done (filled in by
+// checkpoint restore) out to the worker pool as one simulation cell each.
+// Cell outcomes are reduced in design order: every success is recorded
+// in done, and the error of the earliest failing design is returned — the
+// same design a sequential run would have stopped at. Panics anywhere
+// below — workload generation, the warmup pass, predictor construction,
+// the core models — are recovered into *PanicError inside the job that
+// hit them.
+func (r *Runner) simulate(ctx context.Context, workers *pool, app workload.Config, designs []Design, done map[string]*core.Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -672,7 +603,7 @@ func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Con
 	// Shared frontend pass: one pass over the run, replayed by every
 	// compatible cell. Only worth a reader open when at least two pending
 	// designs can reuse it — below that the pass is pure overhead, and
-	// skipping it keeps single-design resumes at one open per attempt.
+	// skipping it keeps single-design resumes at one open.
 	var warm *core.WarmState
 	if !r.Opts.ColdStart && r.Opts.WarmupInstrs > 0 && r.warmEligible(app, pending) >= 2 {
 		var warmErr error

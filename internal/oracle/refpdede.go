@@ -124,17 +124,6 @@ func (r *RefPDede) PageCensus() map[addr.PageNum]int {
 	return census
 }
 
-// RegionCensus is PageCensus for the region partition.
-func (r *RefPDede) RegionCensus() map[addr.RegionID]int {
-	census := make(map[addr.RegionID]int)
-	for _, e := range r.entries {
-		if !e.delta {
-			census[e.region]++
-		}
-	}
-	return census
-}
-
 // StorageBits implements btb.TargetPredictor (idealized: unbounded).
 func (r *RefPDede) StorageBits() uint64 { return 0 }
 

@@ -581,7 +581,3 @@ func (p *PDede) Reset() {
 	p.lastPos = 0
 	p.Stats = Stats{}
 }
-
-// Pages and Regions expose the dedup tables (read-mostly: analysis/tests).
-func (p *PDede) Pages() *btb.DedupTable   { return p.pages }
-func (p *PDede) Regions() *btb.DedupTable { return p.regions }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"reflect"
 	"testing"
 
@@ -91,6 +92,42 @@ func FuzzDecodeBody(f *testing.F) {
 		}
 		sameRecords(t, back, recs)
 	})
+}
+
+// TestDecodeBodyBounds pins decodeBody's replies at its record cap, with
+// the cap below the slice it first sizes and past it, where the slice
+// grows: a body of exactly max records is accepted and one more is 413.
+// An empty batch and a cut-off one are both 400s.
+func TestDecodeBodyBounds(t *testing.T) {
+	var recs []isa.Branch
+	for len(recs) <= 2*bodyRecords+1 {
+		recs = append(recs, fuzzRecords()...)
+	}
+	for _, max := range []int{1, 16, bodyRecords, bodyRecords + 1, 2 * bodyRecords} {
+		got, rep := decodeBody(bytes.NewReader(pdt1("batch", recs[:max])), max)
+		if rep != nil {
+			t.Fatalf("max %d: a batch of %d records rejected: %+v", max, max, rep.err)
+		}
+		sameRecords(t, got, recs[:max])
+		_, rep = decodeBody(bytes.NewReader(pdt1("batch", recs[:max+1])), max)
+		if rep == nil || rep.status != http.StatusRequestEntityTooLarge || rep.err.Code != CodeTooLarge {
+			t.Errorf("max %d: a batch of %d records got %+v, want 413 %s", max, max+1, rep, CodeTooLarge)
+		}
+	}
+	body := pdt1("batch", recs[:bodyRecords])
+	for _, tc := range []struct {
+		name string
+		body []byte
+		code string
+	}{
+		{"empty", pdt1("batch", nil), CodeBadRequest},
+		{"cut off", body[:len(body)/2], CodeTruncated},
+	} {
+		_, rep := decodeBody(bytes.NewReader(tc.body), bodyRecords)
+		if rep == nil || rep.status != http.StatusBadRequest || rep.err.Code != tc.code {
+			t.Errorf("%s batch got %+v, want 400 %s", tc.name, rep, tc.code)
+		}
+	}
 }
 
 // FuzzDecodeCheckpoint drives the checkpoint-file decoder with arbitrary

@@ -30,6 +30,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -602,12 +603,13 @@ func (s *Server) checkpointAll() error {
 	return firstErr
 }
 
-// bodyRecords is the record capacity decodeBody starts a batch with, the
+// bodyRecords is the record count decodeBody first sizes a batch for, the
 // size of the batches pdede-serve's clients send; a larger batch grows
 // from there.
 const bodyRecords = 256
 
-// decodeBody reads a whole PDT1 batch into memory. Any mid-stream decode
+// decodeBody reads a whole PDT1 batch into memory, decoding batches of
+// records straight into the slice it returns. Any mid-stream decode
 // failure maps to the retryable "truncated" error: whether the client died,
 // stalled forever (the HTTP server's read timeout fires), or sent garbage,
 // nothing was applied and a rebuilt body can succeed.
@@ -620,27 +622,33 @@ func decodeBody(r io.Reader, max int) ([]isa.Branch, *reply) {
 	if err != nil {
 		return fail(err)
 	}
-	recs := make([]isa.Branch, 0, min(max, bodyRecords))
+	// Room for one record past max tells a full batch from an oversized
+	// one, and lets a bodyRecords batch decode, trailer included, in one
+	// NextBatch call.
+	recs := make([]isa.Branch, min(max, bodyRecords)+1)
+	n := 0
 	for {
-		b, err := d.Next()
+		k, err := d.NextBatch(recs[n:])
+		n += k
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return fail(err)
 		}
-		recs = append(recs, b)
-		if len(recs) > max {
+		if n > max {
 			rep := errReply(http.StatusRequestEntityTooLarge, CodeTooLarge, false,
 				"batch exceeds %d records", max)
 			return nil, &rep
 		}
+		// recs is full and the body goes on: double it, to at most max+1.
+		recs = slices.Grow(recs, n)[:min(2*n, max+1)]
 	}
-	if len(recs) == 0 {
+	if n == 0 {
 		rep := errReply(http.StatusBadRequest, CodeBadRequest, false, "empty batch")
 		return nil, &rep
 	}
-	return recs, nil
+	return recs[:n], nil
 }
 
 // validTenantName accepts [A-Za-z0-9_.-]{1,64}, not starting with a dot

@@ -4,16 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/isa"
 )
 
-// ErrTransient marks injected (or real) failures that a retry may clear:
-// the read failed, but re-opening the source can succeed. Harnesses
-// classify retryability with errors.Is(err, ErrTransient).
-var ErrTransient = errors.New("transient trace read error")
+// ErrInjected marks the read failure FaultPlan.FailAt injects, so tests
+// can tell it from a real decode error with errors.Is.
+var ErrInjected = errors.New("injected trace read error")
 
 // FaultPlan configures deterministic fault injection. Record positions are
 // 1-based indices into the stream a single Reader yields; zero disables
@@ -23,24 +21,12 @@ type FaultPlan struct {
 	// PanicAt makes the reader panic when asked for this record, modelling
 	// a bug in a predictor or decoder that the harness must contain.
 	PanicAt uint64
-	// FailAt makes the reader return an error wrapping ErrTransient at
-	// this record. TransientOpens bounds how many Readers (in Open order)
-	// inject it: the first TransientOpens readers fail, later ones run
-	// clean — modelling a fault that clears on retry. TransientOpens <= 0
-	// means every reader fails (a permanent, but still transient-typed,
-	// fault).
-	FailAt         uint64
-	TransientOpens int
+	// FailAt makes the reader return an error wrapping ErrInjected at
+	// this record.
+	FailAt uint64
 	// TruncateAt ends the stream with io.ErrUnexpectedEOF at this record,
 	// modelling a trace file cut off mid-record.
 	TruncateAt uint64
-	// CorruptKindAt delivers this record with an out-of-range Kind,
-	// modelling bit rot that decodes structurally but is semantically
-	// garbage.
-	CorruptKindAt uint64
-	// CorruptDeltaAt delivers this record with a garbage target and a zero
-	// block length, modelling a corrupted delta field.
-	CorruptDeltaAt uint64
 	// StallAt sleeps for StallFor before yielding this record, modelling a
 	// slow or stalling client: the stream is correct but late. When
 	// StallEvery is non-zero the stall repeats every StallEvery records
@@ -73,40 +59,20 @@ func (p *FaultPlan) stalls(pos uint64) bool {
 }
 
 // FaultSource wraps a Source, injecting the faults of Plan into every
-// Reader it opens. It implements Source. Open and Opens are safe for
-// concurrent use: the parallel suite runner opens one reader per
+// Reader it opens. It implements Source, and Open is safe for concurrent
+// use when Src's is: the parallel suite runner opens one reader per
 // (app, design) cell, and cells of one app run concurrently.
 type FaultSource struct {
 	Src  Source
 	Plan FaultPlan
-
-	mu sync.Mutex
-	//pdede:guarded-by(mu)
-	opens int
 }
 
 // Name implements Source.
 func (f *FaultSource) Name() string { return f.Src.Name() }
 
-// Opens reports how many readers have been opened, letting tests assert
-// retry counts.
-func (f *FaultSource) Opens() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.opens
-}
-
 // Open implements Source.
 func (f *FaultSource) Open() Reader {
-	f.mu.Lock()
-	f.opens++
-	opens := f.opens
-	f.mu.Unlock()
-	plan := f.Plan
-	if plan.FailAt != 0 && plan.TransientOpens > 0 && opens > plan.TransientOpens {
-		plan.FailAt = 0 // fault has cleared for this and later readers
-	}
-	return &FaultReader{R: f.Src.Open(), Plan: plan, reopen: f.Src.Open}
+	return &FaultReader{R: f.Src.Open(), Plan: f.Plan, reopen: f.Src.Open}
 }
 
 // FaultReader injects the faults of Plan into an underlying Reader. It
@@ -133,7 +99,7 @@ func (r *FaultReader) Next() (isa.Branch, error) {
 	case p.PanicAt:
 		panic(fmt.Sprintf("trace: injected panic at record %d of %T", r.pos, r.R))
 	case p.FailAt:
-		return isa.Branch{}, fmt.Errorf("trace: injected fault at record %d: %w", r.pos, ErrTransient)
+		return isa.Branch{}, fmt.Errorf("trace: injected fault at record %d: %w", r.pos, ErrInjected)
 	case p.TruncateAt:
 		return isa.Branch{}, fmt.Errorf("trace: injected truncation at record %d: %w", r.pos, io.ErrUnexpectedEOF)
 	case p.EOFAt:
@@ -147,13 +113,6 @@ func (r *FaultReader) Next() (isa.Branch, error) {
 	}
 	if err != nil {
 		return isa.Branch{}, err
-	}
-	switch p := &r.Plan; r.pos {
-	case p.CorruptKindAt:
-		b.Kind = isa.NumKinds + isa.Kind(r.pos%3)
-	case p.CorruptDeltaAt:
-		b.Target = ^b.Target
-		b.BlockLen = 0
 	}
 	return b, nil
 }

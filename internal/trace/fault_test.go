@@ -5,8 +5,6 @@ import (
 	"io"
 	"testing"
 	"time"
-
-	"repro/internal/isa"
 )
 
 func TestFaultReaderPassThrough(t *testing.T) {
@@ -39,47 +37,14 @@ func TestFaultReaderTruncate(t *testing.T) {
 	}
 }
 
-func TestFaultSourceTransientClears(t *testing.T) {
-	fs := &FaultSource{Src: sampleTrace(), Plan: FaultPlan{FailAt: 2, TransientOpens: 2}}
-	for open := 1; open <= 2; open++ {
-		_, err := Collect("x", fs.Open())
-		if !errors.Is(err, ErrTransient) {
-			t.Fatalf("open %d: err = %v, want ErrTransient", open, err)
-		}
-	}
-	if _, err := Collect("x", fs.Open()); err != nil {
-		t.Fatalf("open 3 should be clean, got %v", err)
-	}
-	if fs.Opens() != 3 {
-		t.Fatalf("Opens() = %d, want 3", fs.Opens())
-	}
-}
-
+// TestFaultSourcePermanentTransient: FailAt fails every reader the source
+// opens, not just the first.
 func TestFaultSourcePermanentTransient(t *testing.T) {
 	fs := &FaultSource{Src: sampleTrace(), Plan: FaultPlan{FailAt: 1}}
 	for open := 1; open <= 4; open++ {
-		if _, err := Collect("x", fs.Open()); !errors.Is(err, ErrTransient) {
-			t.Fatalf("open %d: err = %v, want ErrTransient", open, err)
+		if _, err := Collect("x", fs.Open()); !errors.Is(err, ErrInjected) {
+			t.Fatalf("open %d: err = %v, want ErrInjected", open, err)
 		}
-	}
-}
-
-func TestFaultReaderCorruption(t *testing.T) {
-	m := sampleTrace()
-	r := &FaultReader{R: m.Open(), Plan: FaultPlan{CorruptKindAt: 1, CorruptDeltaAt: 2}}
-	b, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Kind < isa.NumKinds {
-		t.Fatalf("corrupt kind = %d, want out of range", b.Kind)
-	}
-	b, err = r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.BlockLen != 0 || b.Target == m.Records[1].Target {
-		t.Fatalf("delta corruption not applied: %+v", b)
 	}
 }
 
