@@ -51,12 +51,13 @@ vet:
 
 # Static analysis beyond vet, in three layers:
 #   1. cmd/pdede-lint — the repository's own analyzer suite (determinism,
-#      atomicwrite, addrdomain, guardedby; sources under internal/analysis).
+#      atomicwrite, addrdomain; sources under internal/analysis).
 #      Pure stdlib, always runs. See DESIGN.md "Statically enforced
 #      invariants"; Lookup purity, the allocation-free per-record path,
-#      design registration and the address-field widths are tested at run
-#      time instead (purity_test.go, allocs_test.go,
-#      TestDiffDesignsCoverEveryDesign, the addr fuzzers and the goldens).
+#      design registration, the address-field widths and the lock
+#      discipline are tested at run time instead (purity_test.go,
+#      allocs_test.go, TestDiffDesignsCoverEveryDesign, the addr fuzzers
+#      and the goldens, and TestConcurrentHandlers under `make race`).
 #   2. gofmt drift.
 #   3. staticcheck, at the pinned $(STATICCHECK_VERSION) — optional locally
 #      (skipped with a notice when not installed); the CI lint job installs

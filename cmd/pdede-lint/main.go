@@ -1,17 +1,16 @@
-// pdede-lint is the repository's custom static-analysis suite: four
+// pdede-lint is the repository's custom static-analysis suite: three
 // analyzers that enforce at compile time the contracts the runtime
 // verification machinery (differential oracle, deep audits) checks at run
 // time. Lookup purity, the allocation-free per-record path, the
-// registration of every design in the oracle sweep and the address-field
-// widths are witnessed at run time instead (DESIGN.md §6.2's ledger).
+// registration of every design in the oracle sweep, the address-field
+// widths and the lock discipline are witnessed at run time instead
+// (DESIGN.md §6.2's ledger).
 //
 //	determinism   no wall clock, global rand, or order-sensitive map
 //	              iteration in simulation/report packages
 //	atomicwrite   checkpoint/report files go through atomicio
 //	addrdomain    RegionID/PageNum/PageOffset/SetIndex/Tag values never
 //	              cross domains through conversions or comparisons
-//	guardedby     //pdede:guarded-by(mu) fields accessed only with the
-//	              mutex held on every CFG path (flowkit dataflow)
 //
 // Usage:
 //
@@ -35,7 +34,6 @@ import (
 	"repro/internal/analysis/addrdomain"
 	"repro/internal/analysis/atomicwrite"
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/guardedby"
 	"repro/internal/analysis/lintkit"
 )
 
@@ -45,7 +43,6 @@ func suite() []*lintkit.Analyzer {
 		determinism.Analyzer,
 		atomicwrite.Analyzer,
 		addrdomain.Analyzer,
-		guardedby.Analyzer,
 	}
 }
 
@@ -112,7 +109,7 @@ func run(args []string) int {
 }
 
 // jsonDiag is the -json wire form of one finding. Field names are part of
-// the CI contract (the problem-matcher in .github/ parses them).
+// the CI contract (ci.yml's lint job turns them into annotations with jq).
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

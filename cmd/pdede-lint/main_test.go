@@ -27,12 +27,12 @@ func TestUnknownAnalyzerIsOperationalError(t *testing.T) {
 // without opening the source (and so a typo can never silently run an
 // empty set).
 func TestUnknownAnalyzerListsValidNames(t *testing.T) {
-	_, err := selectAnalyzers("guardedbyy")
+	_, err := selectAnalyzers("determinsm")
 	if err == nil {
 		t.Fatal("selectAnalyzers accepted an unknown name")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, `unknown analyzer "guardedbyy"`) {
+	if !strings.Contains(msg, `unknown analyzer "determinsm"`) {
 		t.Errorf("error does not name the bad analyzer: %q", msg)
 	}
 	for _, a := range suite() {
@@ -117,40 +117,7 @@ func Mix(r addr.RegionID) addr.PageNum {
 `,
 		},
 	},
-	{
-		// Corruption injection: a lock-free read seeded into a fixture
-		// checkpoint.
-		name:     "guardedby",
-		analyzer: "guardedby",
-		files: map[string]string{
-			"go.mod":                             "module seed\n\ngo 1.22\n",
-			"internal/experiments/checkpoint.go": guardedbySeed,
-		},
-	},
 }
-
-// guardedbySeed is a fixture checkpoint whose guarded map is read without
-// the mutex.
-const guardedbySeed = `package experiments
-
-import "sync"
-
-type Checkpoint struct {
-	mu sync.Mutex
-	//pdede:guarded-by(mu)
-	done map[string]int
-}
-
-func (c *Checkpoint) Record(app string) {
-	c.mu.Lock()
-	c.done[app]++
-	c.mu.Unlock()
-}
-
-func (c *Checkpoint) Peek(app string) int {
-	return c.done[app] // the corruption: no lock on any path
-}
-`
 
 // TestSeededViolations checks, per analyzer, that a single seeded violation
 // makes the standalone tool exit 1.
@@ -189,14 +156,11 @@ func captureStdout(t *testing.T, f func()) []byte {
 	return data
 }
 
-// TestJSONOutput pins the -json wire format CI's problem matcher consumes:
+// TestJSONOutput pins the -json wire format that CI's lint job reads with jq:
 // an array of {file, line, col, analyzer, message}, empty when clean, with
 // the exit-status contract unchanged.
 func TestJSONOutput(t *testing.T) {
-	root := linttest.WriteModule(t, map[string]string{
-		"go.mod":                             "module seed\n\ngo 1.22\n",
-		"internal/experiments/checkpoint.go": guardedbySeed,
-	})
+	root := linttest.WriteModule(t, seedCases[0].files) // the determinism seed
 	var exit int
 	out := captureStdout(t, func() {
 		exit = run([]string{"-C", root, "-json", "./..."})
@@ -212,8 +176,8 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatal("-json output empty on a seeded violation")
 	}
 	d := diags[0]
-	if d.Analyzer != "guardedby" || d.File == "" || d.Line == 0 ||
-		!strings.Contains(d.Message, "guarded by c.mu") {
+	if d.Analyzer != "determinism" || d.File == "" || d.Line == 0 ||
+		!strings.Contains(d.Message, "nondeterministic map iteration") {
 		t.Fatalf("malformed diagnostic: %+v", d)
 	}
 

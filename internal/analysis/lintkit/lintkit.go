@@ -11,10 +11,10 @@
 //     shelling out to `go list -export` and reading the compiler's export
 //     data for dependencies — the same data `go vet` hands its tools.
 //   - directive handling for the repository's `//pdede:` comment
-//     directives (`//pdede:guarded-by(mu)`, `//pdede:nondet-ok`, ...).
+//     directives (`//pdede:nondet-ok`, `//pdede:raw-write-ok`, ...).
 //
 // The concrete analyzers live in sibling packages (determinism,
-// atomicwrite, addrdomain, guardedby); cmd/pdede-lint drives them.
+// atomicwrite, addrdomain); cmd/pdede-lint drives them.
 package lintkit
 
 import (
@@ -101,7 +101,7 @@ func (p *Pass) InScope(suffixes []string) bool {
 // Directive is one parsed `//pdede:name args` comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "guarded-by(mu)", "nondet-ok"
+	Name string // e.g. "nondet-ok", "raw-write-ok"
 	Args string // remainder of the line, space-trimmed
 }
 

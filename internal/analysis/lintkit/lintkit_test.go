@@ -94,25 +94,24 @@ func TestSortDiagnosticsAndString(t *testing.T) {
 }
 
 // TestDirectiveParsing checks the //pdede: directive forms against a file
-// loaded through the real pipeline.
+// loaded through the real pipeline: ByCategory's map range carries a
+// //pdede:nondet-ok escape and its reason on the same line.
 func TestDirectiveParsing(t *testing.T) {
 	pkgs, err := lintkit.Load("../../..", "./internal/experiments")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	pkg := pkgs[0]
 	probe := &lintkit.Analyzer{Name: "probe", Doc: "directive probe", Run: func(pass *lintkit.Pass) error {
 		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "flushLocked" {
-					continue
-				}
-				if !pass.FuncHasDirective(file, fn, "guarded-by(mu)") {
-					return nil // reported via t.Error below through missing marker
-				}
-				pass.Report(fn.Pos(), "directive-found")
+			for _, d := range pass.FileDirectives(file) {
+				pass.Reportf(d.Pos, "%s: %s", d.Name, d.Args)
 			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if rng, ok := n.(*ast.RangeStmt); ok && pass.NodeHasDirective(file, rng, "nondet-ok") {
+					pass.Report(rng.Pos(), "escaped range")
+				}
+				return true
+			})
 		}
 		return nil
 	}}
@@ -120,7 +119,9 @@ func TestDirectiveParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 || diags[0].Message != "directive-found" {
-		t.Fatalf("flushLocked's //pdede:guarded-by(mu) doc directive not detected (diags: %v, pkg %s)", diags, pkg.ImportPath)
+	const want = "nondet-ok: each slice is sorted independently; iteration order cannot show"
+	if len(diags) != 2 || diags[0].Message != "escaped range" || diags[1].Message != want ||
+		diags[0].Pos.Line != diags[1].Pos.Line {
+		t.Fatalf("want ByCategory's range and its %q directive on one line, got %v", want, diags)
 	}
 }

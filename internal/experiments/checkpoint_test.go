@@ -3,10 +3,12 @@ package experiments
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/btb"
@@ -61,6 +63,46 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, ok := c2.Done("a", "d2"); !ok {
 		t.Error("pair (a, d2) lost across reload")
+	}
+}
+
+// TestCheckpointConcurrentRecordAndDone is the race witness for the
+// checkpoint's lock. The runner's app goroutines call Done and Record on
+// one checkpoint at once, as here. Record holds c.mu through its file
+// write, so under -race a Done that skips the lock reads the maps while
+// another app's insert is unordered with the read.
+func TestCheckpointConcurrentRecordAndDone(t *testing.T) {
+	c, err := LoadCheckpoint(filepath.Join(t.TempDir(), "race.ckpt"), ckptMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const apps, designs = 4, 4
+	var wg sync.WaitGroup
+	for a := 0; a < apps; a++ {
+		wg.Add(1)
+		go func(app string) {
+			defer wg.Done()
+			for d := 0; d < designs; d++ {
+				design := fmt.Sprintf("d%d", d)
+				if _, ok := c.Done(app, design); ok {
+					t.Errorf("%s/%s is done before its Record", app, design)
+				}
+				if err := c.Record(app, map[string]*core.Result{design: {App: app, Design: design}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(fmt.Sprintf("app%d", a))
+	}
+	wg.Wait()
+	if c.Apps() != apps {
+		t.Errorf("%d apps recorded, want %d", c.Apps(), apps)
+	}
+	for a := 0; a < apps; a++ {
+		for d := 0; d < designs; d++ {
+			if _, ok := c.Done(fmt.Sprintf("app%d", a), fmt.Sprintf("d%d", d)); !ok {
+				t.Errorf("app%d/d%d lost", a, d)
+			}
+		}
 	}
 }
 

@@ -292,11 +292,10 @@ type Runner struct {
 
 	ctx context.Context // base context for Run; nil = Background
 
-	mu sync.Mutex
-	// failures accumulates across Run/CharacterizeSuite calls; worker
-	// goroutines append concurrently via noteFailures.
-	//
-	//pdede:guarded-by(mu)
+	mu sync.Mutex // guards failures
+	// failures accumulates across Run/CharacterizeSuite calls. Only the
+	// goroutine that called Run or CharacterizeSuite appends to it, via
+	// noteFailures, once that call's workers have finished.
 	failures []error
 }
 

@@ -31,37 +31,28 @@ type tenant struct {
 	// evicts the smallest stamps first.
 	touch atomic.Uint64
 
-	mu sync.Mutex
+	mu sync.Mutex // guards the fields below; the *Locked methods need it held
 	// sess is the live simulator; nil when shed to disk or torn down
 	// after a crash (rebuilt on demand by replaying the journal).
-	//pdede:guarded-by(mu)
 	sess *core.Session
 	// journal holds every record ever applied, in order.
-	//pdede:guarded-by(mu)
 	journal trace.RecordLog
 	// nextSeq is the next batch to APPLY — the exactly-once watermark,
 	// persisted in checkpoints.
-	//pdede:guarded-by(mu)
 	nextSeq uint64
 	// nextAdmit is the next batch to ADMIT to the queue. It runs ahead of
 	// nextSeq by the queued batches and resets to nextSeq after a crash.
-	//pdede:guarded-by(mu)
 	nextAdmit uint64
 	// lastAck caches the ack for batch nextSeq-1, answering retries of the
 	// most recent batch without touching the simulator.
-	//pdede:guarded-by(mu)
-	lastAck BatchAck
-	//pdede:guarded-by(mu)
-	crashes int
-	//pdede:guarded-by(mu)
+	lastAck     BatchAck
+	crashes     int
 	quarantined bool
 	// restored means the on-disk checkpoint has been loaded (or is known
 	// absent); false after shedding so the next request reloads.
-	//pdede:guarded-by(mu)
 	restored bool
 	// wantDigest is the checkpointed result digest, verified once against
 	// the replayed state on the next rebuild.
-	//pdede:guarded-by(mu)
 	wantDigest string
 }
 
@@ -142,8 +133,6 @@ func protectedApply(se *core.Session, hook func(), recs []isa.Branch) (n int, er
 }
 
 // ackLocked builds the ack for batch seq from the live session state.
-//
-//pdede:guarded-by(mu)
 func (t *tenant) ackLocked(seq uint64, n int) BatchAck {
 	snap := t.sess.Snapshot()
 	return BatchAck{
@@ -161,8 +150,6 @@ func (t *tenant) ackLocked(seq uint64, n int) BatchAck {
 // duplicateAckLocked answers a batch that already applied. The most recent
 // batch replays its cached full ack; older ones get a thin ack (the client
 // already consumed their state long ago).
-//
-//pdede:guarded-by(mu)
 func (t *tenant) duplicateAckLocked(seq uint64) reply {
 	if seq == t.nextSeq-1 && t.lastAck.Seq == seq {
 		ack := t.lastAck
@@ -177,8 +164,6 @@ func (t *tenant) duplicateAckLocked(seq uint64) reply {
 // touched after process start or shedding. A missing file means a fresh
 // tenant; a checkpoint written under a different configuration is refused
 // (the journal would replay into a different simulator).
-//
-//pdede:guarded-by(mu)
 func (t *tenant) restoreLocked(s *Server) *reply {
 	if t.restored {
 		return nil
@@ -246,8 +231,6 @@ func replay(se *core.Session, r trace.BatchReader) error {
 // through a fresh core.Session, then verifies the replayed state against
 // the checkpointed result digest — a corrupted journal or a simulator
 // change slips through the config digest only to be caught here.
-//
-//pdede:guarded-by(mu)
 func (t *tenant) ensureSessionLocked(s *Server) *reply {
 	if t.sess != nil {
 		return nil
