@@ -90,14 +90,9 @@ func main() {
 		<-ctx.Done()
 		stop()
 		fmt.Fprintln(os.Stderr, "pdede-serve: draining (signal received)")
-		srv.BeginDrain()
-		shCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := httpSrv.Shutdown(shCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "pdede-serve: shutdown: %v\n", err)
-		}
-		// Close waits for inflight batches, then checkpoints every tenant.
-		done <- srv.Close()
+		// Shutdown waits for inflight batches, closes the connections still
+		// open after -drain-timeout, then checkpoints every tenant.
+		done <- srv.Shutdown(httpSrv, *drainWait)
 	}()
 
 	fmt.Fprintf(os.Stderr, "pdede-serve: design %s (config %s) listening on %s\n",

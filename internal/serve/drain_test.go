@@ -2,9 +2,13 @@ package serve_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,7 +160,9 @@ func TestDrainCheckpointRestart(t *testing.T) {
 }
 
 // TestCloseCheckpointsIdleTenants: tenants that received traffic but are
-// idle at shutdown must still be durably checkpointed by Close.
+// idle at shutdown must still be durably checkpointed by Close, and a
+// restarted server restores each one on its first request, a stats query
+// or its next batch.
 func TestCloseCheckpointsIdleTenants(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t)
@@ -171,6 +177,9 @@ func TestCloseCheckpointsIdleTenants(t *testing.T) {
 	recs := testRecords(t, 11, 300)
 	ack1, err := c.SendBatch(context.Background(), "idle", 1, recs[:150])
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SendBatch(context.Background(), "idle-b", 1, recs[:150]); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
@@ -195,4 +204,86 @@ func TestCloseCheckpointsIdleTenants(t *testing.T) {
 	if ack2.Digest != wantDigest {
 		t.Errorf("digest %s != offline %s after restart", ack2.Digest, wantDigest)
 	}
+	ackB, err := c2.SendBatch(context.Background(), "idle-b", 2, recs[150:])
+	if err != nil {
+		t.Fatalf("batch 2 as idle-b's first request after restart: %v", err)
+	}
+	if wantB, _ := offlineDigest(t, cfg, "idle-b", recs); ackB.Digest != wantB || ackB.Duplicate {
+		t.Errorf("idle-b after restart: ack %+v, want digest %s", ackB, wantB)
+	}
+}
+
+// TestShutdownEndsStalledUpload drives the drain pdede-serve runs on
+// SIGTERM while a raw client has sent a batch's headers and 4 of its 1,000
+// body bytes, then stalled. http.Server.Shutdown leaves that connection
+// open, so the drain must close it once its timeout passes; otherwise
+// Close waits on the stalled request for good. The drain must return
+// promptly and still checkpoint the tenant that had state.
+func TestShutdownEndsStalledUpload(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.CheckpointDir = t.TempDir()
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// reading closes when the stalled request's handler first reads its
+	// body, which it does only once it counts as inflight.
+	reading := make(chan struct{})
+	h := s.Handler()
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.Contains(r.URL.Path, "stalled") {
+			r.Body = &firstRead{ReadCloser: r.Body, done: reading}
+		}
+		h.ServeHTTP(w, r)
+	})}
+	go hs.Serve(ln)
+	ack, err := newTestClient("http://"+ln.Addr().String()).SendBatch(
+		context.Background(), "kept", 1, testRecords(t, 14, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST /v1/tenants/stalled/batches/1 HTTP/1.1\r\nHost: serve\r\n"+
+		"Content-Length: 1000\r\n\r\nPDT1")
+	<-reading
+
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(hs, 100*time.Millisecond) }()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain still blocked 10 s after its 100 ms timeout")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("drain error %v, want its timeout", err)
+	}
+	_, ts := startServer(t, cfg)
+	st, err := newTestClient(ts.URL).Stats(context.Background(), "kept")
+	if err != nil {
+		t.Fatalf("kept's checkpoint did not restore: %v", err)
+	}
+	if st.Digest != ack.Digest || st.NextSeq != 2 {
+		t.Errorf("restored stats %+v, want digest %s next_seq 2", st, ack.Digest)
+	}
+}
+
+// firstRead closes done when its first Read begins.
+type firstRead struct {
+	io.ReadCloser
+	once sync.Once
+	done chan struct{}
+}
+
+func (r *firstRead) Read(p []byte) (int, error) {
+	r.once.Do(func() { close(r.done) })
+	return r.ReadCloser.Read(p)
 }

@@ -532,7 +532,8 @@ func TestConfigDigestGuardsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the validation surface.
+// TestBadRequests pins the validation surface. A refused request leaves
+// no state, so it must leave no tenant in /metrics either.
 func TestBadRequests(t *testing.T) {
 	_, ts := startServer(t, testConfig(t))
 	recs := testRecords(t, 9, 20)
@@ -548,6 +549,7 @@ func TestBadRequests(t *testing.T) {
 		{"seq zero", "/v1/tenants/ok/batches/0", body, http.StatusBadRequest},
 		{"empty body", "/v1/tenants/ok/batches/1", nil, http.StatusBadRequest},
 		{"garbage body", "/v1/tenants/ok/batches/1", []byte("not a trace"), http.StatusBadRequest},
+		{"gap on a new tenant", "/v1/tenants/ghost-gap/batches/2", body, http.StatusConflict},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.url, "application/octet-stream", bytes.NewReader(tc.body))
@@ -567,6 +569,9 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("stats for unknown tenant: %d, want 404", resp.StatusCode)
+	}
+	if body := scrape(t, ts.URL); strings.Contains(body, "ghost") {
+		t.Errorf("refused requests left tenants behind:\n%s", body)
 	}
 }
 
