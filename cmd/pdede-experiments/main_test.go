@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,6 +53,35 @@ func TestFailedRunLeavesReportUntouched(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("a failed run rewrote -o: got %d bytes %q, want %q", len(got), got, want)
+	}
+}
+
+// TestReportReplacesAtomically: a run that succeeds replaces an existing
+// -o report by rename, so a reader holding the old report open still reads
+// it whole, and a fresh open reads the new one.
+func TestReportReplacesAtomically(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "r.txt")
+	old := []byte("a complete earlier report\n")
+	if err := os.WriteFile(out, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if got := run([]string{"-run", "fig10", "-apps", "1", "-instrs", "20000", "-warmup", "5000", "-o", out}); got != 0 {
+		t.Fatalf("exit %d, want 0", got)
+	}
+	if got, err := io.ReadAll(held); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("a reader holding the old report open read %.40q (err %v), want %q", got, err, old)
+	}
+	fresh, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(fresh, []byte("Figure 10")) {
+		t.Errorf("a fresh open did not read the new report:\n%.300s", fresh)
 	}
 }
 

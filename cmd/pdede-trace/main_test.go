@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,7 +46,9 @@ func TestWriteTraceUnknownCodecLeavesFile(t *testing.T) {
 }
 
 // TestWriteTraceRoundTrip checks that both codecs' output decodes back to
-// the records written, and that the reported size is the file's.
+// the records written, and that the reported size is the file's. Each
+// write replaces an earlier file atomically: a reader holding the old file
+// open still reads it whole.
 func TestWriteTraceRoundTrip(t *testing.T) {
 	tr := testTrace(t)
 	dir := t.TempDir()
@@ -73,9 +76,21 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	}
 	for codec, dec := range decode {
 		path := filepath.Join(dir, "out."+codec)
+		old := []byte("old trace")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		held, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer held.Close()
 		size, err := writeTrace(path, codec, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", codec, err)
+		}
+		if got, err := io.ReadAll(held); err != nil || !bytes.Equal(got, old) {
+			t.Errorf("%s: a reader holding the old file open read %.40q (err %v), want %q", codec, got, err, old)
 		}
 		if st, err := os.Stat(path); err != nil || st.Size() != int64(size) {
 			t.Fatalf("%s: reported %d bytes, file %v (err %v)", codec, size, st, err)

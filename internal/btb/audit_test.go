@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -155,6 +156,28 @@ func TestBaselineAuditCatchesMalformedTarget(t *testing.T) {
 	}
 	if err := b.Audit(); err == nil {
 		t.Fatal("audit accepted a target above the 57-bit VA space")
+	}
+}
+
+// TestPerfectAuditNamesLowestPC: with every stored target corrupt, the
+// perfect BTB's audit names the lowest PC on every call, whatever order
+// its target map iterates in.
+func TestPerfectAuditNamesLowestPC(t *testing.T) {
+	p := NewPerfect()
+	for i := 63; i >= 0; i-- {
+		p.Update(takenBranch(addr.Build(1, addr.PageNum(i), 0x100), addr.Build(3, 4, 0x200)), Lookup{})
+	}
+	if err := p.Audit(); err != nil {
+		t.Fatalf("pre-corruption audit failed: %v", err)
+	}
+	for _, e := range p.targets {
+		e.target = addr.VA(uint64(1) << addr.VABits) // bit 57
+	}
+	want := fmt.Sprintf("entry %v ", addr.Build(1, 0, 0x100))
+	for i := 0; i < 8; i++ {
+		if err := p.Audit(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("audit %d: %v, want the lowest PC's %q", i, err, want)
+		}
 	}
 }
 

@@ -166,17 +166,7 @@ func expFig5() Experiment {
 						offMax = s.Offset
 					}
 				}
-				ids := make([]int, 0, len(regs))
-				for id := range regs {
-					ids = append(ids, id)
-				}
-				sort.Ints(ids)
-				dom, domN := -1, 0
-				for _, id := range ids {
-					if n := regs[id]; n > domN {
-						dom, domN = id, n
-					}
-				}
+				dom, domN := dominantRegion(regs)
 				tb.AddRow(fmt.Sprint(b), fmt.Sprint(len(regs)),
 					fmt.Sprintf("r%d (%.0f%%)", dom, 100*float64(domN)/float64(per)),
 					fmt.Sprint(len(pages)), fmt.Sprintf("[%d,%d]", offMin, offMax))
@@ -199,6 +189,24 @@ func expFig5() Experiment {
 			return nil
 		},
 	}
+}
+
+// dominantRegion returns the region with the most samples and its count.
+// Regions are visited in id order, so a tie goes to the lowest id whatever
+// order the map iterates in.
+func dominantRegion(regs map[int]int) (id, n int) {
+	ids := make([]int, 0, len(regs))
+	for r := range regs {
+		ids = append(ids, r)
+	}
+	sort.Ints(ids)
+	id = -1
+	for _, r := range ids {
+		if c := regs[r]; c > n {
+			id, n = r, c
+		}
+	}
+	return id, n
 }
 
 // expFig6 — targets per page and per region.

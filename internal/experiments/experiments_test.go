@@ -173,6 +173,28 @@ func TestAnalysisExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// fig5's dominant region is the most-sampled one, and a tie goes to the
+// lowest id on every call, whatever order the count map iterates in.
+func TestDominantRegionBreaksTiesByID(t *testing.T) {
+	regs := map[int]int{}
+	for id := 40; id < 80; id++ {
+		regs[id] = 3
+	}
+	regs[90] = 2
+	for i := 0; i < 8; i++ {
+		if id, n := dominantRegion(regs); id != 40 || n != 3 {
+			t.Fatalf("call %d: dominantRegion = r%d (%d), want r40 (3)", i, id, n)
+		}
+	}
+	regs[95] = 4
+	if id, n := dominantRegion(regs); id != 95 || n != 4 {
+		t.Errorf("dominantRegion = r%d (%d), want r95 (4)", id, n)
+	}
+	if id, n := dominantRegion(nil); id != -1 || n != 0 {
+		t.Errorf("dominantRegion(nil) = r%d (%d), want r-1 (0)", id, n)
+	}
+}
+
 // The headline experiment must produce a well-formed report with the
 // paper-shaped design ordering.
 func TestFig10Smoke(t *testing.T) {

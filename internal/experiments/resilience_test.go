@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -421,11 +422,17 @@ func TestCharacterizeSuiteKeepGoing(t *testing.T) {
 
 // A real experiment report over a keep-going suite with one failed app
 // must complete: every aggregation that loops suite.Apps directly has to
-// skip the failed app instead of dereferencing its missing results.
+// skip the failed app instead of dereferencing its missing results. The
+// apps arrive in reverse category order, and the per-category rows must
+// still come out in category order.
 func TestKeepGoingExperimentReport(t *testing.T) {
 	for _, id := range []string{"fig1", "fig10"} {
 		t.Run(id, func(t *testing.T) {
-			opts := tinyOpts(tinyCatalog(3))
+			cat := tinyCatalog(4)
+			for i := range cat {
+				cat[i].Category = workload.Category(workload.NumCategories - 1 - i)
+			}
+			opts := tinyOpts(cat)
 			opts.KeepGoing = true
 			opts.BuildTrace = func(app workload.Config, total uint64) (trace.Source, error) {
 				if app.Name == "tiny-1" {
@@ -447,6 +454,15 @@ func TestKeepGoingExperimentReport(t *testing.T) {
 			}
 			if r.Err() == nil || !strings.Contains(r.Err().Error(), "tiny-1") {
 				t.Errorf("failure not aggregated on the runner: %v", r.Err())
+			}
+			var rows []string
+			for _, line := range strings.Split(buf.String(), "\n") {
+				if f := strings.Fields(line); len(f) > 0 && slices.Contains([]string{"Server", "Browser", "BP", "Personal"}, f[0]) {
+					rows = append(rows, f[0])
+				}
+			}
+			if want := []string{"Server", "Browser", "Personal"}; !slices.Equal(rows, want) {
+				t.Errorf("%s category rows %v, want %v\n%s", id, rows, want, buf.String())
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/btb"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/pdede"
 	"repro/internal/trace"
@@ -92,35 +93,50 @@ func TestMetamorphicRegionRelabel(t *testing.T) {
 }
 
 // TestMetamorphicSameSeedDeterminism pins run-to-run reproducibility: two
-// full simulations from the same app configuration must produce bit-equal
-// Results — the property every golden-regression and checkpoint-resume
-// mechanism in this repository rests on.
+// full simulations from the same app configuration, trace generation
+// included, must produce bit-equal Results — the property every
+// golden-regression and checkpoint-resume mechanism in this repository
+// rests on. It runs every DiffDesigns design and the three Baseline
+// replacement policies besides SRRIP that ext-repl runs, twice in one
+// process, so a wall-clock read or a draw from the process-seeded global
+// math/rand source that steers any of them shows as a diverging pair.
 func TestMetamorphicSameSeedDeterminism(t *testing.T) {
 	app := workload.Default()
-	runOnce := func() *core.Result {
+	designs := experiments.DiffDesigns()
+	for _, p := range []btb.PolicyKind{btb.PolicyLRU, btb.PolicyRandom, btb.PolicyGHRP} {
+		designs = append(designs, experiments.Design{Name: "baseline-4K-" + p.String(), New: func() (btb.TargetPredictor, error) {
+			return btb.NewBaseline(btb.BaselineConfig{Entries: 4096, Policy: p})
+		}})
+	}
+	runAll := func() []*core.Result {
 		_, tr, err := workload.Build(app, 250_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := pdede.New(pdede.MultiEntryConfig())
-		if err != nil {
-			t.Fatal(err)
+		out := make([]*core.Result, len(designs))
+		for i, d := range designs {
+			tp, err := d.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i], err = core.Run(core.Config{
+				Params:       core.Icelake(),
+				BackendCPI:   app.BackendCPI,
+				BTB:          tp,
+				WarmupInstrs: 50_000,
+				AuditEvery:   4096,
+			}, tr)
+			if err != nil {
+				t.Fatalf("%s: %v", d.Name, err)
+			}
 		}
-		res, err := core.Run(core.Config{
-			Params:       core.Icelake(),
-			BackendCPI:   app.BackendCPI,
-			BTB:          tp,
-			WarmupInstrs: 50_000,
-			AuditEvery:   4096,
-		}, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return out
 	}
-	r1, r2 := runOnce(), runOnce()
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("same-seed runs diverged:\n%+v\n%+v", r1, r2)
+	r1, r2 := runAll(), runAll()
+	for i, d := range designs {
+		if !reflect.DeepEqual(r1[i], r2[i]) {
+			t.Errorf("%s: same-seed runs diverged:\n%+v\n%+v", d.Name, r1[i], r2[i])
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -87,6 +89,35 @@ func TestRefPDedeDisableDelta(t *testing.T) {
 	}
 	if err := r.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditsNameLowestPC: when every entry of a reference oracle is
+// corrupt, its audit names the lowest PC on every call, whatever order the
+// entry map iterates in, so a failing run reports the same violation each
+// time.
+func TestAuditsNameLowestPC(t *testing.T) {
+	ref, rp := NewReference(false), NewRefPDede(false, false)
+	const n = 64
+	for i := n - 1; i >= 0; i-- {
+		pc := addr.Build(3, addr.PageNum(i), 0x40)
+		b := taken(pc, addr.Build(7, 11, addr.PageOffset(i)))
+		ref.Update(b, btb.Lookup{})
+		rp.Update(b, btb.Lookup{})
+	}
+	for _, e := range ref.entries {
+		e.conf = 9
+	}
+	for _, e := range rp.entries {
+		e.conf = 9
+	}
+	want := fmt.Sprintf("entry %v ", addr.Build(3, 0, 0x40))
+	for _, a := range []btb.Auditable{ref, rp} {
+		for i := 0; i < 8; i++ {
+			if err := a.Audit(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%T audit %d: %v, want the lowest PC's %q", a, i, err, want)
+			}
+		}
 	}
 }
 

@@ -453,6 +453,21 @@ func tenantGauge(body, name, tenant string) (float64, bool) {
 	return 0, false
 }
 
+// tenantLabels lists the tenant label of each line of one per-tenant
+// gauge, in exposition order.
+func tenantLabels(body, name string) []string {
+	var out []string
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+"{tenant="); ok {
+			if q, err := strconv.QuotedPrefix(rest); err == nil {
+				tenant, _ := strconv.Unquote(q)
+				out = append(out, tenant)
+			}
+		}
+	}
+	return out
+}
+
 // TestJournalBytesPerRecord bounds what a tenant's journal holds per record
 // on the benchmark's serve-stream shape: 64 batches of 256 records from a
 // 300-branch synthetic program. The journal keeps each record's PDT1

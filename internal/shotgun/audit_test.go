@@ -1,6 +1,8 @@
 package shotgun
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -51,23 +53,29 @@ func TestAuditCatchesMetaOverflow(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesMisfiledConditional corrupts every metadata block: the
+// audit must fail, and name the lowest block on every call, whatever
+// order the metadata map iterates in.
 func TestAuditCatchesMisfiledConditional(t *testing.T) {
 	s := trainShotgun(t, 2000)
-	corrupted := false
+	lowest, corrupted := ^uint64(0), 0
 	for blk, lst := range s.meta {
 		if len(lst) == 0 {
 			continue
 		}
 		// Move the record's PC out of the block that files it.
 		lst[0].pc = addr.New(((blk + 1) << blockShift))
-		corrupted = true
-		break
+		lowest = min(lowest, blk)
+		corrupted++
 	}
-	if !corrupted {
-		t.Fatal("no metadata to corrupt; enlarge the training run")
+	if corrupted < 16 {
+		t.Fatalf("only %d metadata blocks to corrupt; enlarge the training run", corrupted)
 	}
-	if err := s.Audit(); err == nil {
-		t.Fatal("audit accepted a conditional filed under the wrong block")
+	want := fmt.Sprintf("block %#x ", lowest)
+	for i := 0; i < 8; i++ {
+		if err := s.Audit(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("audit %d: %v, want a conditional filed under the wrong block, %q first", i, err, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package pdedesim
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -127,10 +128,24 @@ func TestDumpSuiteJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a suite")
 	}
+	// The dump replaces an earlier one atomically: a reader holding the
+	// old file open still reads it whole.
 	path := t.TempDir() + "/suite.json"
+	old := []byte("[]\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
 	opts := SuiteOptions{Apps: 2, TotalInstrs: 400_000, WarmupInstrs: 150_000}
 	if err := DumpSuiteJSON(opts, path); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(held); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("a reader holding the old dump open read %.40q (err %v), want %q", got, err, old)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
