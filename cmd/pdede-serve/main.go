@@ -40,7 +40,7 @@ func main() {
 		maxBatch    = flag.Int("max-batch-records", 0, "max records per batch before 413 (0 = default)")
 		maxResident = flag.Int("max-resident-tenants", 0, "resident-tenant cap; idle tenants shed to checkpoints (0 = unbounded, requires -checkpoint-dir)")
 		quarantine  = flag.Int("quarantine-after", 0, "crashes before a tenant is quarantined (0 = default)")
-		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline (0 = default 30s)")
+		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline, bounding the body read and the wait for the worker (0 = default 30s)")
 		retryAfter  = flag.Duration("retry-after", 0, "Retry-After hint on backpressure (0 = default 1s)")
 		warmup      = flag.Uint64("warmup", 0, "warmup instructions per tenant (unmeasured)")
 		listDesigns = flag.Bool("list-designs", false, "list servable designs and exit")

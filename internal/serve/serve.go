@@ -88,10 +88,12 @@ type Config struct {
 	// QuarantineAfter stops accepting batches for a tenant after this many
 	// simulator crashes. Default 3.
 	QuarantineAfter int
-	// RequestTimeout bounds how long a batch request may wait for its
-	// worker (queued + applying). The batch may still apply after the 504;
-	// the client retries the same sequence number and gets a duplicate
-	// ack. Default 30s; negative disables.
+	// RequestTimeout bounds a batch request from the moment it enters:
+	// the read of its body and then its wait for the worker (queued +
+	// applying) share the one deadline. A body still unread at the
+	// deadline gets the retryable 400 truncated reply. A batch may still
+	// apply after the 504; the client retries the same sequence number
+	// and gets a duplicate ack. Default 30s; negative disables.
 	RequestTimeout time.Duration
 	// RetryAfter is the hint sent in the Retry-After header on
 	// backpressure and drain responses (whole seconds, floored). Default 1s.
@@ -337,6 +339,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 
+	// One deadline bounds the body read and the wait for the worker, so a
+	// client that stalls mid-body cannot hold its handler, connection and
+	// inflight registration past it. (A second, later deadline for the
+	// wait would not hold: once the body is read, net/http's background
+	// read cancels r.Context() when the read deadline passes.) The error
+	// is ignored: a ResponseWriter without a connection (a test recorder)
+	// returns http.ErrNotSupported, and a closed connection fails the body
+	// read anyway.
+	ctx := r.Context()
+	if s.cfg.RequestTimeout > 0 {
+		deadline := time.Now().Add(s.cfg.RequestTimeout)
+		_ = http.NewResponseController(w).SetReadDeadline(deadline)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+
 	// The whole body is decoded before any tenant state is touched: a
 	// slow or dying client holds only its own request open and can never
 	// stall a worker or leave a half-applied batch.
@@ -363,12 +382,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.maybeShed()
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
 	select {
 	case out := <-ch:
 		s.writeReply(w, out)
@@ -640,8 +653,9 @@ const bodyRecords = 256
 // decodeBody reads a whole PDT1 batch into memory, decoding batches of
 // records straight into the slice it returns. Any mid-stream decode
 // failure maps to the retryable "truncated" error: whether the client died,
-// stalled until a drain closed its connection (Server.Shutdown), or sent
-// garbage, nothing was applied and a rebuilt body can succeed.
+// stalled past the request deadline or until a drain closed its
+// connection (Server.Shutdown), or sent garbage, nothing was applied and a
+// rebuilt body can succeed.
 func decodeBody(r io.Reader, max int) ([]isa.Branch, *reply) {
 	fail := func(err error) ([]isa.Branch, *reply) {
 		rep := errReply(http.StatusBadRequest, CodeTruncated, true, "decoding batch: %v", err)
