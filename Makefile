@@ -49,21 +49,16 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet, in three layers:
-#   1. cmd/pdede-lint — the repository's own analyzer suite (determinism,
-#      atomicwrite, addrdomain; sources under internal/analysis).
-#      Pure stdlib, always runs. See DESIGN.md "Statically enforced
-#      invariants"; Lookup purity, the allocation-free per-record path,
-#      design registration, the address-field widths and the lock
-#      discipline are tested at run time instead (purity_test.go,
-#      allocs_test.go, TestDiffDesignsCoverEveryDesign, the addr fuzzers
-#      and the goldens, and TestConcurrentHandlers under `make race`).
-#   2. gofmt drift.
-#   3. staticcheck, at the pinned $(STATICCHECK_VERSION) — optional locally
-#      (skipped with a notice when not installed); the CI lint job installs
-#      exactly that version and gets the full check.
+# Static analysis: go vet (the prerequisite), gofmt drift, and staticcheck
+# at the pinned $(STATICCHECK_VERSION) — optional locally (skipped with a
+# notice when not installed); the CI lint job installs exactly that
+# version and gets the full check. The repository has no analyzers of its
+# own: its contracts are tested at run time (DESIGN.md §6.2) — same-seed
+# determinism and map-free output order, atomic file replacement, Lookup
+# purity, the allocation-free per-record path, design registration, the
+# address-field widths and domains, and the lock discipline under
+# `make race`.
 lint: vet
-	$(GO) run ./cmd/pdede-lint ./...
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -85,9 +80,10 @@ race:
 # log against that decoder, the batch record decoder that every reader of
 # both containers runs against the checked one, the .pdtz v2 round trip,
 # the ChampSim and perf script ingestion adapters, the 57-bit VA component
-# algebra, PDede's delta encode/decode path, the cache model against its
-# stamp-LRU reference, and pdede-serve's two untrusted inputs: HTTP batch
-# bodies and checkpoint files.
+# algebra (FuzzComponentRoundTrip, FuzzBuildDecompose, and FuzzWithOffset
+# for the offset field's width), PDede's delta encode/decode path, the
+# cache model against its stamp-LRU reference, and pdede-serve's two
+# untrusted inputs: HTTP batch bodies and checkpoint files.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzRecordLogMatchesDecoder -fuzztime $(FUZZTIME)
@@ -97,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/trace/perfscript/ -fuzz FuzzPerfScriptParser -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/addr/ -fuzz FuzzComponentRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/addr/ -fuzz FuzzBuildDecompose -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/addr/ -fuzz FuzzWithOffset -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pdede/ -fuzz FuzzDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeBody -fuzztime $(FUZZTIME)

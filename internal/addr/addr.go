@@ -46,8 +46,9 @@ type VA uint64
 // all flow as raw uint64 — a region index is never a page number, a set
 // index is never a tag. Each gets a zero-cost defined type (underlying
 // uint64, no wrappers, no methods on the hot path) so cross-domain mixing
-// is a compile error where the static types meet and an `addrdomain` lint
-// finding where values are laundered through plain integers.
+// is a compile error where the static types meet. A mix laundered through
+// plain integers or an explicit conversion compiles; it shows at run time,
+// in the PDede and oracle audits, the differential oracle and the goldens.
 type (
 	// RegionID is a 1 GiB region index: bits [RegionShift, VABits) of a VA,
 	// RegionBits (27) wide.

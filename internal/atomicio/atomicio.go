@@ -7,10 +7,12 @@
 // completed write survives power loss (the data is on stable storage
 // before the rename, the rename itself before WriteFile returns).
 //
-// The pdede-lint atomicwrite analyzer statically enforces that the
-// persistence packages (internal/experiments, internal/serve), the module
-// root (the -dump-suite writer) and the cmd mains create files only
-// through this package.
+// Every checkpoint and report writer goes through this package: the suite
+// checkpoint (internal/experiments), the serve tenant checkpoints
+// (internal/serve), -dump-suite (the module root), pdede-experiments -o
+// and pdede-trace -o. Each one's tests hold the old file open across a
+// write and require the held reader to read the old document whole,
+// which an in-place rewrite such as os.WriteFile fails.
 package atomicio
 
 import (

@@ -764,7 +764,9 @@ func (s *Suite) ByCategory() map[workload.Category][]int {
 		}
 		out[s.Apps[i].App.Category] = append(out[s.Apps[i].App.Category], i)
 	}
-	for _, idx := range out { //pdede:nondet-ok each slice is sorted independently; iteration order cannot show
+	// Each slice is sorted on its own, so the map's iteration order
+	// cannot show.
+	for _, idx := range out {
 		sort.Ints(idx)
 	}
 	return out
