@@ -7,11 +7,12 @@
 //	pdede-serve -addr :8080 -design pdede-multi-entry -checkpoint-dir /var/lib/pdede
 //	pdede-serve -list-designs
 //
-// The service is engineered for failure first: bounded queues with
-// explicit backpressure (429 + Retry-After), per-tenant panic isolation
-// with quarantine, idle-tenant shedding under a resident cap, and a
-// graceful SIGTERM drain that checkpoints every tenant atomically so a
-// restart resumes bit-identically. See internal/serve for the protocol.
+// The service is engineered for failure first: one bounded apply queue
+// and at most one queued batch per tenant, with explicit backpressure
+// (429 + Retry-After) past either, per-tenant panic isolation with
+// quarantine, idle-tenant shedding under a resident cap, and a graceful
+// SIGTERM drain that checkpoints every tenant atomically so a restart
+// resumes bit-identically. See internal/serve for the protocol.
 package main
 
 import (
@@ -35,8 +36,7 @@ func main() {
 		design      = flag.String("design", "pdede-multi-entry", "BTB design to serve (see -list-designs)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for tenant checkpoints (enables drain/restart resume)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = default)")
-		queueDepth  = flag.Int("queue-depth", 0, "per-worker queue depth (0 = default)")
-		pending     = flag.Int("tenant-pending", 0, "max queued batches per tenant before 429 (0 = default)")
+		queueDepth  = flag.Int("queue-depth", 0, "apply queue slots per worker; the queue holds workers × this many batches before 429 (0 = default 64)")
 		maxBatch    = flag.Int("max-batch-records", 0, "max records per batch before 413 (0 = default)")
 		maxResident = flag.Int("max-resident-tenants", 0, "resident-tenant cap; idle tenants shed to checkpoints (0 = unbounded, requires -checkpoint-dir)")
 		quarantine  = flag.Int("quarantine-after", 0, "crashes before a tenant is quarantined (0 = default)")
@@ -65,7 +65,6 @@ func main() {
 		WarmupInstrs:       *warmup,
 		Workers:            *workers,
 		QueueDepth:         *queueDepth,
-		TenantPending:      *pending,
 		MaxBatchRecords:    *maxBatch,
 		MaxResidentTenants: *maxResident,
 		CheckpointDir:      *ckptDir,

@@ -91,14 +91,8 @@ func (v VA) Region() RegionID { return RegionID((uint64(v) >> RegionShift) & reg
 // are on the same page iff their PageAddr values are equal.
 func (v VA) PageAddr() uint64 { return uint64(v) >> PageShift }
 
-// PageBase returns the address of the first byte of v's page.
-func (v VA) PageBase() VA { return VA(uint64(v) &^ offsetMask) }
-
 // SamePage reports whether v and o lie on the same 4 KiB page.
 func (v VA) SamePage(o VA) bool { return v.PageAddr() == o.PageAddr() }
-
-// SameRegion reports whether v and o lie in the same 1 GiB region.
-func (v VA) SameRegion(o VA) bool { return v.Region() == o.Region() }
 
 // WithOffset returns v with its page offset replaced by offset. This is the
 // delta-encoding reconstruction: the region and page come from the branch PC

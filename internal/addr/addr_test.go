@@ -64,10 +64,10 @@ func TestSamePage(t *testing.T) {
 	if base.SamePage(base.Add(4096)) {
 		t.Error("addresses on adjacent pages should not be same-page")
 	}
-	if !base.SameRegion(Build(3, 200, 50)) {
+	if base.Region() != Build(3, 200, 50).Region() {
 		t.Error("same region expected")
 	}
-	if base.SameRegion(Build(4, 100, 0)) {
+	if base.Region() == Build(4, 100, 0).Region() {
 		t.Error("different region expected")
 	}
 }
@@ -103,13 +103,6 @@ func TestPageDistance(t *testing.T) {
 	}
 }
 
-func TestPageBase(t *testing.T) {
-	v := Build(2, 5, 0x7ff)
-	if got := v.PageBase(); got.Offset() != 0 || got.PageAddr() != v.PageAddr() {
-		t.Errorf("PageBase = %v", got)
-	}
-}
-
 func TestFold(t *testing.T) {
 	if got := Fold(0xffff_ffff_ffff_ffff, 16); got != 0 {
 		t.Errorf("Fold(all-ones,16) = %#x, want 0 (even number of chunks XOR out)", got)
@@ -141,20 +134,6 @@ func TestIndexTagSpreads(t *testing.T) {
 	}
 	if len(seen) < 400 {
 		t.Errorf("sequential PCs covered only %d/512 sets", len(seen))
-	}
-}
-
-func TestIndexModRange(t *testing.T) {
-	for _, sets := range []int{1, 3, 512, 768} {
-		for i := 0; i < 100; i++ {
-			got := IndexMod(New(uint64(i*4096+i)), sets)
-			if got < 0 || int(got) >= sets {
-				t.Fatalf("IndexMod out of range: %d for %d sets", got, sets)
-			}
-		}
-	}
-	if got := IndexMod(New(1), 0); got != 0 {
-		t.Errorf("IndexMod with 0 sets = %d, want 0", got)
 	}
 }
 

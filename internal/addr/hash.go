@@ -43,13 +43,3 @@ func IndexTag(pc VA, indexBits, tagBits uint) (index SetIndex, tag Tag) {
 	index = SetIndex(h & ((uint64(1) << indexBits) - 1))
 	return index, Tag(Fold(h>>indexBits, tagBits))
 }
-
-// IndexMod derives a set index for tables whose number of sets is not a
-// power of two (e.g. a 12-way 512-set BTBM scaled for iso-storage keeps
-// power-of-two sets, but sweep configurations may not).
-func IndexMod(pc VA, sets int) SetIndex {
-	if sets <= 0 {
-		return 0
-	}
-	return SetIndex(Mix64(uint64(pc)>>1) % uint64(sets))
-}

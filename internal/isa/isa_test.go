@@ -8,22 +8,19 @@ import (
 
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {
-		k                                 Kind
-		cond, direct, indirect, call, ret bool
+		k                         Kind
+		cond, indirect, call, ret bool
 	}{
-		{CondDirect, true, true, false, false, false},
-		{UncondDirect, false, true, false, false, false},
-		{DirectCall, false, true, false, true, false},
-		{IndirectJump, false, false, true, false, false},
-		{IndirectCall, false, false, true, true, false},
-		{Return, false, false, false, false, true},
+		{CondDirect, true, false, false, false},
+		{UncondDirect, false, false, false, false},
+		{DirectCall, false, false, true, false},
+		{IndirectJump, false, true, false, false},
+		{IndirectCall, false, true, true, false},
+		{Return, false, false, false, true},
 	}
 	for _, c := range cases {
 		if c.k.IsConditional() != c.cond {
 			t.Errorf("%v IsConditional = %v", c.k, c.k.IsConditional())
-		}
-		if c.k.IsDirect() != c.direct {
-			t.Errorf("%v IsDirect = %v", c.k, c.k.IsDirect())
 		}
 		if c.k.IsIndirect() != c.indirect {
 			t.Errorf("%v IsIndirect = %v", c.k, c.k.IsIndirect())

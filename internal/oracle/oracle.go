@@ -13,8 +13,8 @@
 //   - Reference — a plain map[PC]target predictor with the paper's
 //     taken-only allocation and confidence-guarded target replacement, and
 //     no capacity, aliasing or latency effects. RefPDede layers PDede's
-//     delta/partition semantics on the same unbounded map, recomputing its
-//     dedup census from scratch instead of keeping incremental state.
+//     delta/partition semantics on the same unbounded map, storing each
+//     entry's page and region inline instead of deduplicating them.
 //   - Diff — a differential runner that drives a real design and its oracle
 //     in lockstep over one trace, compares predictions, and classifies
 //     every disagreement as a legal capacity/aliasing effect or a fatal

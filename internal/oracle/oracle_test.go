@@ -74,8 +74,9 @@ func TestRefPDedeDeltaAndPointerPaths(t *testing.T) {
 	if err := r.Audit(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.PageCensus()); n != 1 {
-		t.Errorf("page census = %d entries, want 1 (delta entries carry no page)", n)
+	if !r.entries[pc].delta || r.entries[pc2].delta {
+		t.Errorf("delta flags %v, %v: want the same-page entry on the delta path and the far one on the pointer path",
+			r.entries[pc].delta, r.entries[pc2].delta)
 	}
 }
 

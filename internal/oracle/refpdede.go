@@ -13,10 +13,9 @@ import (
 // 2-bit confidence hysteresis, same update ordering) layered on an unbounded
 // map, with the partition state stored inline instead of behind dedup
 // pointers. There are no sets, ways, tags, replacement, refcounts or
-// dangling pointers — every mechanism the real implementation maintains
-// incrementally is either absent or, for the partition census, recomputed
-// from scratch on demand. That makes it obviously correct by inspection and
-// a fair oracle for all three PDede configurations.
+// dangling pointers — no mechanism the real implementation maintains
+// incrementally. That makes it obviously correct by inspection and a fair
+// oracle for all three PDede configurations.
 type RefPDede struct {
 	disableDelta bool
 	storeReturns bool
@@ -108,20 +107,6 @@ func newRefPDedeEntry(target addr.VA, samePage bool) *refPDedeEntry {
 		e.region = target.Region()
 	}
 	return e
-}
-
-// PageCensus recomputes, from scratch, the set of distinct page components
-// reachable from pointer-path entries — the contents an unbounded Page-BTB
-// would hold. The real design's bounded, incrementally-maintained table must
-// always store a subset of this census.
-func (r *RefPDede) PageCensus() map[addr.PageNum]int {
-	census := make(map[addr.PageNum]int)
-	for _, e := range r.entries {
-		if !e.delta {
-			census[e.page]++
-		}
-	}
-	return census
 }
 
 // StorageBits implements btb.TargetPredictor (idealized: unbounded).

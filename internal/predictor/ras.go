@@ -41,9 +41,6 @@ func (r *RAS) Pop() (addr.VA, bool) {
 	return r.stack[r.top], true
 }
 
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }
-
 // StorageBits returns the stack storage.
 func (r *RAS) StorageBits() uint64 { return uint64(len(r.stack)) * 57 }
 

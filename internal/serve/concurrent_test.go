@@ -26,15 +26,19 @@ import (
 // Writers stream batches for more tenants than the resident cap holds,
 // taking up new tenants throughout the run, so a new tenant's map insert
 // overlaps shed sweeps, and shed tenants restore from their checkpoints.
-// Readers loop on /metrics, /readyz and the stats of the tenants being
-// written, and keep looping while Close drains the server and checkpoints
-// every tenant. Under -race, a field read or written outside its mutex
-// fails the run. Without -race, every batch must still be acked and every
-// tenant's final digest must equal an offline replay.
+// The writer phase runs twice, the second streaming each tenant's next
+// batches, because a shed sweep meets a tenant whose batch was just
+// applied too rarely in one phase. Readers loop on /metrics, /readyz and
+// the stats of the tenants being written, and keep looping while Close
+// drains the server and checkpoints every tenant. Under -race, a field
+// read or written outside its mutex fails the run. Without -race, every
+// batch must still be acked and every tenant's final digest must equal an
+// offline replay.
 func TestConcurrentHandlers(t *testing.T) {
 	const (
 		tenants   = 64
-		batches   = 4
+		phases    = 2
+		batches   = 4 // per tenant and phase
 		batchRecs = 64
 		writers   = 2
 		attempts  = 200 // per batch; only retryable refusals are retried
@@ -55,11 +59,12 @@ func TestConcurrentHandlers(t *testing.T) {
 	}
 
 	name := func(i int) string { return fmt.Sprintf("race-%02d", i) }
-	recs := testRecords(t, 29, tenants*batches*batchRecs)
-	tenantRecs := func(i int) []isa.Branch { return recs[i*batches*batchRecs : (i+1)*batches*batchRecs] }
+	const perTenant = phases * batches * batchRecs
+	recs := testRecords(t, 29, tenants*perTenant)
+	tenantRecs := func(i int) []isa.Branch { return recs[i*perTenant : (i+1)*perTenant] }
 	bodies := make([][][]byte, tenants)
 	for i := range bodies {
-		for b := 0; b < batches; b++ {
+		for b := 0; b < phases*batches; b++ {
 			bodies[i] = append(bodies[i], encodeBatch(t, name(i), tenantRecs(i)[b*batchRecs:(b+1)*batchRecs]))
 		}
 	}
@@ -96,29 +101,9 @@ func TestConcurrentHandlers(t *testing.T) {
 		return ack, false
 	}
 
-	// next is the next tenant a writer takes up; readers query the stats
-	// of the tenants taken so far.
+	// next is the next tenant a writer takes up in this phase; readers
+	// query the stats of the tenants taken so far.
 	var next atomic.Int64
-	finals := make([]serve.BatchAck, tenants)
-	var ws sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		ws.Add(1)
-		go func() {
-			defer ws.Done()
-			for i := int(next.Add(1) - 1); i < tenants; i = int(next.Add(1) - 1) {
-				for seq := 1; seq <= batches; seq++ {
-					ack, ok := post(i, seq)
-					if !ok {
-						return
-					}
-					if ack.TotalRecords != uint64(seq*batchRecs) {
-						fail("%s batch %d: TotalRecords %d, want %d", name(i), seq, ack.TotalRecords, seq*batchRecs)
-					}
-					finals[i] = ack
-				}
-			}
-		}()
-	}
 
 	stop := make(chan struct{})
 	var rs sync.WaitGroup
@@ -146,7 +131,31 @@ func TestConcurrentHandlers(t *testing.T) {
 		return "/v1/tenants/" + name(k%int(min(max(next.Load(), 1), tenants))) + "/stats"
 	}, http.StatusOK, http.StatusNotFound, http.StatusServiceUnavailable)
 
-	ws.Wait()
+	finals := make([]serve.BatchAck, tenants)
+	for phase := 0; phase < phases; phase++ {
+		next.Store(0)
+		var ws sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			ws.Add(1)
+			go func() {
+				defer ws.Done()
+				for i := int(next.Add(1) - 1); i < tenants; i = int(next.Add(1) - 1) {
+					for seq := phase*batches + 1; seq <= (phase+1)*batches; seq++ {
+						ack, ok := post(i, seq)
+						if !ok {
+							return
+						}
+						if ack.TotalRecords != uint64(seq*batchRecs) {
+							fail("%s batch %d: TotalRecords %d, want %d", name(i), seq, ack.TotalRecords, seq*batchRecs)
+						}
+						finals[i] = ack
+					}
+				}
+			}()
+		}
+		ws.Wait()
+	}
+
 	// A shed writes fsynced checkpoint files, so on a slow disk the sweeps
 	// lag the writers and the tenants shed last may see no request before
 	// the drain. Until one restores, request every tenant's stats while

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -16,7 +15,7 @@ type metrics struct {
 	batches          atomic.Uint64 // batches applied (exactly once each)
 	records          atomic.Uint64 // records applied
 	duplicates       atomic.Uint64 // retried batches answered from cache
-	backpressure     atomic.Uint64 // 429s (tenant or shard queue full)
+	backpressure     atomic.Uint64 // 429s (a batch already queued, or the queue full)
 	deadlines        atomic.Uint64 // requests that missed RequestTimeout
 	truncated        atomic.Uint64 // bodies that died mid-stream
 	crashes          atomic.Uint64 // simulator panics/audit failures contained
@@ -44,7 +43,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders the prometheus-style text exposition. Counters
-// come first in a fixed order, then per-worker queue depths, then
+// come first in a fixed order, then the apply queue's depth, then
 // per-tenant gauges in sorted name order — the output is deterministic for
 // a given state, so scrapes and tests can diff it.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -71,26 +70,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "%s %d\n", c.name, c.v)
 	}
 	fmt.Fprintf(&b, "pdede_serve_resident_tenants %d\n", s.resident.Load())
-	for i, q := range s.queues {
-		fmt.Fprintf(&b, "pdede_serve_queue_depth{worker=\"%d\"} %d\n", i, len(q))
-	}
+	fmt.Fprintf(&b, "pdede_serve_queue_depth %d\n", len(s.queue))
 
-	s.mu.Lock()
-	var names []string
-	for name := range s.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ts := make([]*tenant, 0, len(names))
-	for _, name := range names {
-		ts = append(ts, s.tenants[name])
-	}
-	s.mu.Unlock()
-	for _, t := range ts {
+	for _, t := range s.tenantsByName() {
 		t.mu.Lock()
+		pending := 0
+		if t.queued {
+			pending = 1
+		}
 		fmt.Fprintf(&b, "pdede_serve_tenant_next_seq{tenant=%q} %d\n", t.name, t.nextSeq)
 		fmt.Fprintf(&b, "pdede_serve_tenant_journal_bytes{tenant=%q} %d\n", t.name, t.journal.Size())
-		fmt.Fprintf(&b, "pdede_serve_tenant_pending{tenant=%q} %d\n", t.name, t.pending.Load())
+		fmt.Fprintf(&b, "pdede_serve_tenant_pending{tenant=%q} %d\n", t.name, pending)
 		if t.quarantined {
 			fmt.Fprintf(&b, "pdede_serve_tenant_quarantined{tenant=%q} 1\n", t.name)
 		}

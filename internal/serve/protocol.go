@@ -67,16 +67,17 @@ type ErrorBody struct {
 
 // Stable error codes.
 const (
-	// CodeBackpressure: the tenant's queue (or its worker's shard queue) is
-	// full. 429 with a Retry-After hint; retryable.
+	// CodeBackpressure: the tenant already has a batch queued (this is the
+	// batch after it), or the server's apply queue is full. 429 with a
+	// Retry-After hint; retryable.
 	CodeBackpressure = "backpressure"
 	// CodeDraining: the server is shutting down gracefully; a restarted
 	// instance will resume from checkpoints. 503; retryable.
 	CodeDraining = "draining"
-	// CodePending: this exact batch is already queued or in flight
-	// (a concurrent duplicate submission). 409; retryable — by the time
-	// the client retries, the first copy has usually applied and the
-	// retry acks as a duplicate.
+	// CodePending: this exact batch is the tenant's queued or applying
+	// one (a resend while the first copy waits, e.g. after a 504). 409;
+	// retryable — by the time the client retries, the first copy has
+	// usually applied and the retry acks as a duplicate.
 	CodePending = "pending"
 	// CodeGap: the batch skips ahead of the tenant's next expected
 	// sequence number; earlier batches are missing. 409; not retryable.

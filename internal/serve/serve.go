@@ -7,9 +7,9 @@
 //
 //   - batches are sequence-numbered and applied exactly once, so client
 //     retries after timeouts or restarts can never double-train a tenant;
-//   - per-tenant queues and per-worker shard queues are bounded, and
-//     overflow is explicit backpressure (429 + Retry-After), never an
-//     unbounded buffer;
+//   - a tenant has at most one batch queued, the workers share one bounded
+//     queue, and overflow of either is explicit backpressure (429 +
+//     Retry-After), never an unbounded buffer;
 //   - a panicking simulator is contained to its tenant: the session is
 //     discarded, rebuilt from the journal, and the tenant quarantined
 //     after repeated crashes;
@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,8 +32,8 @@ import (
 	"net/http"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,28 +53,16 @@ type Config struct {
 	// configuration (the experiments registry supplies these; the design
 	// name feeds the config digest that validates checkpoints).
 	Design experiments.Design
-	// Params are the core model parameters; the zero value selects
-	// core.Icelake().
-	Params core.Params
-	// BackendCPI is the backend cycles-per-instruction applied to every
-	// tenant (default 1.0).
-	BackendCPI float64
 	// WarmupInstrs run with structures live but statistics off.
 	WarmupInstrs uint64
-	// AuditEvery deep-checks each tenant's BTB invariants every N records;
-	// an audit failure is treated like a crash (the tenant's state is
-	// rebuilt from its journal). 0 disables auditing.
-	AuditEvery uint64
 
-	// Workers is the size of the apply pool; tenants are sharded across
-	// workers by name hash, so one tenant's batches always apply in order
-	// on one goroutine. Default 4.
+	// Workers is the size of the apply pool. All workers drain one queue;
+	// a tenant has at most one batch queued or applying, so its batches
+	// apply in order whichever worker takes them. Default 4.
 	Workers int
-	// QueueDepth bounds each worker's shard queue. Default 64.
+	// QueueDepth is the apply queue's share per worker: the queue holds
+	// Workers × QueueDepth batches. Default 64.
 	QueueDepth int
-	// TenantPending bounds how many admitted batches one tenant may have
-	// queued at once. Default 4.
-	TenantPending int
 	// MaxBatchRecords rejects oversized batches (413). Default 1<<20.
 	MaxBatchRecords int
 	// MaxResidentTenants caps how many tenants keep a live simulator in
@@ -110,7 +99,7 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	digest string
-	queues []chan job
+	queue  chan job
 
 	workers  sync.WaitGroup
 	inflight sync.WaitGroup
@@ -135,20 +124,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Design.New == nil {
 		return nil, fmt.Errorf("serve: Config.Design is required")
 	}
-	if cfg.Params == (core.Params{}) {
-		cfg.Params = core.Icelake()
-	}
-	if cfg.BackendCPI <= 0 {
-		cfg.BackendCPI = 1
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.TenantPending <= 0 {
-		cfg.TenantPending = 4
 	}
 	if cfg.MaxBatchRecords <= 0 {
 		cfg.MaxBatchRecords = 1 << 20
@@ -181,11 +161,10 @@ func New(cfg Config) (*Server, error) {
 		tenants: make(map[string]*tenant),
 	}
 	s.digest = configDigest(&cfg)
-	s.queues = make([]chan job, cfg.Workers)
-	for i := range s.queues {
-		s.queues[i] = make(chan job, cfg.QueueDepth)
+	s.queue = make(chan job, cfg.Workers*cfg.QueueDepth)
+	for range cfg.Workers {
 		s.workers.Add(1)
-		go s.worker(s.queues[i])
+		go s.worker()
 	}
 	return s, nil
 }
@@ -203,23 +182,11 @@ func (cfg *Config) NewSession(name string) (*core.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Apply the simulation-shaping defaults here (not just in New) so an
-	// offline replay from the same un-defaulted Config builds the same
-	// simulator the server runs.
-	params := cfg.Params
-	if params == (core.Params{}) {
-		params = core.Icelake()
-	}
-	cpi := cfg.BackendCPI
-	if cpi <= 0 {
-		cpi = 1
-	}
 	cc := core.Config{
-		Params:       params,
-		BackendCPI:   cpi,
+		Params:       core.Icelake(),
+		BackendCPI:   1,
 		BTB:          tp,
 		WarmupInstrs: cfg.WarmupInstrs,
-		AuditEvery:   cfg.AuditEvery,
 	}
 	if cfg.Design.Mod != nil {
 		cfg.Design.Mod(&cc)
@@ -229,14 +196,16 @@ func (cfg *Config) NewSession(name string) (*core.Session, error) {
 
 // configDigest fingerprints everything that shapes a tenant's simulation:
 // the design (name plus its structural digest from the experiments
-// registry) and the core knobs. Two servers agree on tenant checkpoints
-// iff their digests match.
+// registry) and the core knobs NewSession sets. Two servers agree on
+// tenant checkpoints iff their digests match. The fixed knobs keep their
+// places in the format, the audit period as 0, so that checkpoints
+// written by earlier builds still restore.
 func configDigest(cfg *Config) string {
 	dd := experiments.DesignDigests([]experiments.Design{cfg.Design})
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%+v|%g|%d|%d",
-		cfg.Design.Name, dd[cfg.Design.Name], cfg.Params,
-		cfg.BackendCPI, cfg.WarmupInstrs, cfg.AuditEvery)
+		cfg.Design.Name, dd[cfg.Design.Name], core.Icelake(),
+		1.0, cfg.WarmupInstrs, 0)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -312,7 +281,7 @@ func (s *Server) tenantFor(name string, create bool) *tenant {
 	defer s.mu.Unlock()
 	t := s.tenants[name]
 	if t == nil && (create || s.checkpointed(name)) {
-		t = &tenant{name: name, nextSeq: 1, nextAdmit: 1}
+		t = &tenant{name: name, nextSeq: 1}
 		s.tenants[name] = t
 	}
 	return t
@@ -393,9 +362,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit decides one batch's fate under the tenant lock: duplicate ack,
-// ordering error, quarantine refusal, backpressure, or enqueue to the
-// tenant's worker shard. A nil channel means rep is the final answer;
-// otherwise the worker's reply arrives on the channel.
+// ordering error, quarantine refusal, backpressure, or enqueue on the
+// apply queue. A tenant has at most one batch queued or applying, so
+// nextSeq is the batch that must come next, and while it is queued the
+// batch after it is refused with backpressure. A nil channel means rep is
+// the final answer; otherwise the worker's reply arrives on the channel.
 func (s *Server) admit(t *tenant, seq uint64, recs []isa.Branch) (chan reply, reply) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -406,32 +377,35 @@ func (s *Server) admit(t *tenant, seq uint64, recs []isa.Branch) (chan reply, re
 		return nil, errReply(http.StatusServiceUnavailable, CodeQuarantined, false,
 			"tenant %s is quarantined after %d crashes", t.name, t.crashes)
 	}
+	// next is the first batch not yet admitted.
+	next := t.nextSeq
+	if t.queued {
+		next++
+	}
 	switch {
 	case seq < t.nextSeq:
 		s.met.duplicates.Add(1)
 		return nil, t.duplicateAckLocked(seq)
-	case seq < t.nextAdmit:
+	case seq < next:
 		return nil, errReply(http.StatusConflict, CodePending, true,
 			"batch %d is already queued or in flight", seq)
-	case seq > t.nextAdmit:
+	case seq > next:
 		return nil, errReply(http.StatusConflict, CodeGap, false,
-			"batch %d skips ahead: next expected is %d", seq, t.nextAdmit)
-	}
-	if int(t.pending.Load()) >= s.cfg.TenantPending {
+			"batch %d skips ahead: next expected is %d", seq, next)
+	case t.queued:
 		s.met.backpressure.Add(1)
 		return nil, errReply(http.StatusTooManyRequests, CodeBackpressure, true,
-			"tenant %s already has %d batches queued", t.name, s.cfg.TenantPending)
+			"tenant %s already has batch %d queued", t.name, t.nextSeq)
 	}
 	ch := make(chan reply, 1)
 	select {
-	case s.queues[shard(t.name, len(s.queues))] <- job{t: t, seq: seq, recs: recs, reply: ch}:
-		t.nextAdmit = seq + 1
-		t.pending.Add(1)
+	case s.queue <- job{t: t, seq: seq, recs: recs, reply: ch}:
+		t.queued = true
 		return ch, reply{}
 	default:
 		s.met.backpressure.Add(1)
 		return nil, errReply(http.StatusTooManyRequests, CodeBackpressure, true,
-			"worker queue for tenant %s is full", t.name)
+			"the apply queue is full")
 	}
 }
 
@@ -500,7 +474,9 @@ func (s *Server) statsFor(t *tenant) (*TenantStats, *reply) {
 
 // maybeShed checkpoints and frees the least-recently-touched idle tenants
 // while the resident count exceeds the cap. At most one sweep runs at a
-// time; an active tenant (pending batches) is never shed.
+// time; a tenant with a batch queued is never shed. The touch stamps are
+// unique but for tenants not yet stamped, which hold no session and so are
+// not shed either, so the sweep's order needs no tie-break.
 func (s *Server) maybeShed() {
 	max := s.cfg.MaxResidentTenants
 	if max <= 0 || s.cfg.CheckpointDir == "" {
@@ -519,20 +495,12 @@ func (s *Server) maybeShed() {
 		touch uint64
 	}
 	s.mu.Lock()
-	var names []string
-	for name := range s.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	cands := make([]cand, 0, len(names))
-	for _, name := range names {
-		cands = append(cands, cand{t: s.tenants[name]})
+	cands := make([]cand, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		cands = append(cands, cand{t, t.touch.Load()})
 	}
 	s.mu.Unlock()
-	for i := range cands {
-		cands[i].touch = cands[i].t.touch.Load()
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].touch < cands[j].touch })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.touch, b.touch) })
 	for _, c := range cands {
 		if int(s.resident.Load()) <= max {
 			break
@@ -547,7 +515,7 @@ func (s *Server) maybeShed() {
 func (s *Server) shedOne(t *tenant) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sess == nil || t.pending.Load() != 0 {
+	if t.sess == nil || t.queued {
 		return
 	}
 	if err := t.checkpointLocked(s); err != nil {
@@ -575,7 +543,8 @@ func (s *Server) BeginDrain() {
 // Close drains and shuts down: refuse new requests, wait for inflight ones
 // (every admitted batch is applied and acked), stop the workers, then
 // checkpoint every tenant. A server restarted on the same CheckpointDir
-// resumes each tenant bit-identically. Close is idempotent.
+// resumes each tenant bit-identically. The error names every tenant whose
+// checkpoint failed. Close is idempotent.
 func (s *Server) Close() error {
 	s.BeginDrain()
 	s.inflight.Wait()
@@ -586,9 +555,7 @@ func (s *Server) Close() error {
 	if wasClosed {
 		return nil
 	}
-	for _, q := range s.queues {
-		close(q)
-	}
+	close(s.queue)
 	s.workers.Wait()
 	return s.checkpointAll()
 }
@@ -612,37 +579,38 @@ func (s *Server) Shutdown(hs *http.Server, timeout time.Duration) error {
 }
 
 // checkpointAll persists every tenant that holds state this process
-// created or loaded. Tenants already shed to disk (restored=false) are
-// skipped: their checkpoint is the current truth.
+// created or loaded, and joins the errors of those it could not, in name
+// order. Tenants already shed to disk (restored=false) are skipped: their
+// checkpoint is the current truth.
 func (s *Server) checkpointAll() error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
-	s.mu.Lock()
-	var names []string
-	for name := range s.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ts := make([]*tenant, 0, len(names))
-	for _, name := range names {
-		ts = append(ts, s.tenants[name])
-	}
-	s.mu.Unlock()
-	var firstErr error
-	for _, t := range ts {
+	var errs []error
+	for _, t := range s.tenantsByName() {
 		t.mu.Lock()
 		if t.restored && (t.nextSeq > 1 || t.crashes > 0) {
 			if err := t.checkpointLocked(s); err != nil {
 				s.met.checkpointErrors.Add(1)
-				if firstErr == nil {
-					firstErr = err
-				}
+				errs = append(errs, err)
 			}
 		}
 		t.mu.Unlock()
 	}
-	return firstErr
+	return errors.Join(errs...)
+}
+
+// tenantsByName snapshots the tenant map in name order, so that what is
+// built from it does not depend on the map's iteration order.
+func (s *Server) tenantsByName() []*tenant {
+	s.mu.Lock()
+	ts := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		ts = append(ts, t)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(ts, func(a, b *tenant) int { return strings.Compare(a.name, b.name) })
+	return ts
 }
 
 // bodyRecords is the record count decodeBody first sizes a batch for, the

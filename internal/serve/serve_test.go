@@ -3,12 +3,14 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -333,6 +335,106 @@ func TestBackpressure(t *testing.T) {
 			t.Errorf("queued batch finished with %d, want 200", r.StatusCode)
 		}
 		r.Body.Close()
+	}
+}
+
+// TestOneQueuedBatchPerTenant: a tenant has at most one batch queued. The
+// single worker is held by another tenant's batch while tenant x's batch 2
+// waits in the queue. Batch 3 is refused with backpressure (429 +
+// Retry-After), a resend of batch 2 is pending (409, retryable) and batch
+// 4 skips ahead (409 gap). Once the worker is released, batch 2 is acked,
+// and a retried batch 3 applies with the exact record total.
+func TestOneQueuedBatchPerTenant(t *testing.T) {
+	const batchRecs = 50
+	held, release := make(chan struct{}), make(chan struct{})
+	cfg := testConfig(t)
+	cfg.Workers = 1
+	// A request waits at most this long, so a batch wrongly admitted
+	// behind the held worker fails the test instead of hanging it.
+	cfg.RequestTimeout = 10 * time.Second
+	cfg.ApplyHook = func(tenant string, _ uint64) {
+		if tenant == "holder" {
+			close(held)
+			<-release
+		}
+	}
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var releaseOnce sync.Once
+	releaseWorker := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseWorker()
+
+	h := s.Handler()
+	recs := testRecords(t, 33, 4*batchRecs)
+	// bodies[seq] is x's batch seq; the holder sends x's batch 1 as its own.
+	bodies := make([][]byte, 5)
+	for seq := 1; seq <= 4; seq++ {
+		bodies[seq] = encodeBatch(t, "x", recs[(seq-1)*batchRecs:seq*batchRecs])
+	}
+	post := func(tenant string, seq int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+			fmt.Sprintf("/v1/tenants/%s/batches/%d", tenant, seq), bytes.NewReader(bodies[seq])))
+		return rec
+	}
+	async := func(tenant string, seq int) <-chan *httptest.ResponseRecorder {
+		ch := make(chan *httptest.ResponseRecorder, 1)
+		go func() { ch <- post(tenant, seq) }()
+		return ch
+	}
+	ack := func(rec *httptest.ResponseRecorder, what string, total int) serve.BatchAck {
+		t.Helper()
+		var a serve.BatchAck
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", what, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if a.Duplicate || a.Records != batchRecs || a.TotalRecords != uint64(total) {
+			t.Errorf("%s: ack %+v, want %d new records, %d in all", what, a, batchRecs, total)
+		}
+		return a
+	}
+	refused := func(rec *httptest.ResponseRecorder, what string, status int, code string, retryable bool) {
+		t.Helper()
+		var eb serve.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != status ||
+			eb.Code != code || eb.Retryable != retryable {
+			t.Fatalf("%s: %d %s, want %d %s (retryable %v)", what, rec.Code, rec.Body, status, code, retryable)
+		}
+	}
+
+	ack(post("x", 1), "batch 1", batchRecs)
+	holder := async("holder", 1)
+	<-held
+	queued := async("x", 2)
+	// /metrics would wait on the held tenant's lock, so watch batch 3
+	// instead: it skips ahead until batch 2 is queued.
+	rec := post("x", 3)
+	for deadline := time.Now().Add(10 * time.Second); rec.Code == http.StatusConflict &&
+		strings.Contains(rec.Body.String(), serve.CodeGap) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		rec = post("x", 3)
+	}
+	refused(rec, "batch 3", http.StatusTooManyRequests, serve.CodeBackpressure, true)
+	if rec.Header().Get(serve.RetryAfterHeader) == "" {
+		t.Error("429 without a Retry-After hint")
+	}
+	refused(post("x", 2), "resent batch 2", http.StatusConflict, serve.CodePending, true)
+	refused(post("x", 4), "batch 4", http.StatusConflict, serve.CodeGap, false)
+
+	releaseWorker()
+	if rec := <-holder; rec.Code != http.StatusOK {
+		t.Errorf("holder: %d %s", rec.Code, rec.Body)
+	}
+	ack(<-queued, "queued batch 2", 2*batchRecs)
+	last := ack(post("x", 3), "retried batch 3", 3*batchRecs)
+	if want, _ := offlineDigest(t, cfg, "x", recs[:3*batchRecs]); last.Digest != want {
+		t.Errorf("digest %s != offline %s", last.Digest, want)
 	}
 }
 

@@ -24,9 +24,6 @@ import (
 type tenant struct {
 	name string
 
-	// pending counts admitted-but-unapplied batches; it is both the
-	// per-tenant queue-depth gate and the shedder's activity check.
-	pending atomic.Int32
 	// touch is the logical-clock stamp of the last request; the shedder
 	// evicts the smallest stamps first.
 	touch atomic.Uint64
@@ -37,12 +34,13 @@ type tenant struct {
 	sess *core.Session
 	// journal holds every record ever applied, in order.
 	journal trace.RecordLog
-	// nextSeq is the next batch to APPLY — the exactly-once watermark,
+	// nextSeq is the next batch to apply — the exactly-once watermark,
 	// persisted in checkpoints.
 	nextSeq uint64
-	// nextAdmit is the next batch to ADMIT to the queue. It runs ahead of
-	// nextSeq by the queued batches and resets to nextSeq after a crash.
-	nextAdmit uint64
+	// queued marks batch nextSeq as admitted to the apply queue and not
+	// yet applied: a tenant has at most one batch queued. It is both the
+	// admission gate and the shedder's activity check.
+	queued bool
 	// lastAck caches the ack for batch nextSeq-1, answering retries of the
 	// most recent batch without touching the simulator.
 	lastAck     BatchAck
@@ -56,28 +54,15 @@ type tenant struct {
 	wantDigest string
 }
 
-// apply runs one admitted batch to completion: exactly-once dedup, lazy
-// restore/rebuild, the panic-isolated simulator step, journal append, and
-// the ack. It is the only writer of nextSeq.
+// apply runs the tenant's queued batch, seq = nextSeq, to completion:
+// lazy rebuild, the panic-isolated simulator step, journal append, and
+// the ack. admit checked everything else while it queued the batch, and
+// nothing changes the tenant's sequence or health while a batch is queued
+// (the shedder skips it). apply is the only writer of nextSeq.
 func (t *tenant) apply(s *Server, seq uint64, recs []isa.Branch) reply {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	defer t.pending.Add(-1)
-	if t.quarantined {
-		return errReply(http.StatusServiceUnavailable, CodeQuarantined, false,
-			"tenant %s is quarantined after %d crashes", t.name, t.crashes)
-	}
-	if seq < t.nextSeq {
-		s.met.duplicates.Add(1)
-		return t.duplicateAckLocked(seq)
-	}
-	if seq != t.nextSeq {
-		// A crash rolled nextAdmit back while this batch sat in the queue;
-		// it cannot apply over the gap. Retryable: once the client
-		// resubmits the missing batch this sequence number admits again.
-		return errReply(http.StatusConflict, CodePending, true,
-			"batch %d is waiting for batch %d", seq, t.nextSeq)
-	}
+	t.queued = false
 	if rep := t.ensureSessionLocked(s); rep != nil {
 		return *rep
 	}
@@ -95,7 +80,6 @@ func (t *tenant) apply(s *Server, seq uint64, recs []isa.Branch) reply {
 		// never applied.
 		t.sess = nil
 		s.resident.Add(-1)
-		t.nextAdmit = t.nextSeq
 		t.crashes++
 		s.met.crashes.Add(1)
 		if t.crashes >= s.cfg.QuarantineAfter {
@@ -189,7 +173,6 @@ func (t *tenant) restoreLocked(s *Server) *reply {
 	}
 	t.journal = *journal
 	t.nextSeq = ck.NextSeq
-	t.nextAdmit = ck.NextSeq
 	t.crashes = ck.Crashes
 	t.quarantined = ck.Quarantined
 	t.wantDigest = ck.ResultDigest

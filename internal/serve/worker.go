@@ -1,13 +1,8 @@
 package serve
 
-import (
-	"hash/fnv"
-	"io"
+import "repro/internal/isa"
 
-	"repro/internal/isa"
-)
-
-// job is one admitted batch on its way to its tenant's worker shard.
+// job is one admitted batch on its way to a worker.
 type job struct {
 	t    *tenant
 	seq  uint64
@@ -17,20 +12,12 @@ type job struct {
 	reply chan reply
 }
 
-// worker drains one shard queue. Tenants shard to workers by name hash, so
-// a tenant's batches always apply in admission order on one goroutine; the
-// tenant lock inside apply makes that an invariant rather than a hope.
-func (s *Server) worker(q chan job) {
+// worker applies batches from the apply queue until Close closes it. Any
+// worker may take any tenant's batch: admit queues at most one batch per
+// tenant, so a tenant's batches still apply in sequence order.
+func (s *Server) worker() {
 	defer s.workers.Done()
-	for jb := range q {
-		// Reply is buffered(1) and receives exactly one send.
+	for jb := range s.queue {
 		jb.reply <- jb.t.apply(s, jb.seq, jb.recs)
 	}
-}
-
-// shard maps a tenant name to its worker queue.
-func shard(tenant string, n int) int {
-	h := fnv.New32a()
-	io.WriteString(h, tenant)
-	return int(h.Sum32() % uint32(n))
 }

@@ -207,14 +207,3 @@ func CatalogByName(name string) (Config, bool) {
 	}
 	return Config{}, false
 }
-
-// CatalogCategory returns the catalog subset for one category.
-func CatalogCategory(cat Category) []Config {
-	var out []Config
-	for _, c := range Catalog() {
-		if c.Category == cat {
-			out = append(out, c)
-		}
-	}
-	return out
-}

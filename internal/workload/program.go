@@ -76,16 +76,6 @@ type Program struct {
 	DriverLoopPC    addr.VA
 }
 
-// StaticBranchCount returns the number of static sites including returns and
-// the driver's two sites.
-func (p *Program) StaticBranchCount() int {
-	n := 2 // driver call + driver loop
-	for _, f := range p.Funcs {
-		n += len(f.Sites) + 1 // + return
-	}
-	return n
-}
-
 // NewProgram synthesizes the static structure of an application.
 func NewProgram(cfg Config) (*Program, error) {
 	if err := cfg.Validate(); err != nil {
