@@ -38,10 +38,7 @@ func (p *PDede) Audit() error {
 				return fmt.Errorf("pdede: set %d way %d offset %#x exceeds %d bits",
 					s, w, e.offset, addr.OffsetBits)
 			}
-			if e.conf > 3 {
-				return fmt.Errorf("pdede: set %d way %d confidence %d exceeds 2 bits", s, w, e.conf)
-			}
-			if e.delta {
+			if e.delta() {
 				if p.cfg.DisableDelta {
 					return fmt.Errorf("pdede: set %d way %d is delta-encoded with delta encoding disabled", s, w)
 				}
@@ -56,11 +53,11 @@ func (p *PDede) Audit() error {
 					return fmt.Errorf("pdede: set %d way %d region pointer %d does not dereference", s, w, e.regionPtr)
 				}
 			}
-			if e.ntValid {
+			if e.ntValid() {
 				if p.cfg.Variant != MultiTarget {
 					return fmt.Errorf("pdede: set %d way %d has NT state outside the MultiTarget variant", s, w)
 				}
-				if !e.delta {
+				if !e.delta() {
 					return fmt.Errorf("pdede: set %d way %d packs an NT offset into live pointer fields", s, w)
 				}
 				if e.ntOffset >= 1<<addr.OffsetBits {
@@ -107,7 +104,7 @@ func (p *PDede) StateDigest() uint64 {
 		put(uint64(i))
 		put(uint64(p.tags.Tag(i)))
 		put(uint64(e.offset))
-		if e.delta {
+		if e.delta() {
 			put(1)
 		} else {
 			put(0)

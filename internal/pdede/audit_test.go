@@ -51,8 +51,8 @@ func TestAuditCatchesDanglingPartitionPointer(t *testing.T) {
 	corrupted := false
 	for i := range p.entries {
 		e := &p.entries[i]
-		if p.tags.Live(i) && !e.delta {
-			e.pagePtr = int32(p.pages.Entries())
+		if p.tags.Live(i) && !e.delta() {
+			e.pagePtr = uint16(p.pages.Entries())
 			corrupted = true
 			break
 		}
@@ -72,8 +72,8 @@ func TestAuditCatchesPointerEntryInNarrowWay(t *testing.T) {
 		base := s * p.cfg.Ways
 		for w := p.halfWays; w < p.cfg.Ways; w++ {
 			e := &p.entries[base+w]
-			if p.tags.Live(base+w) && e.delta {
-				e.delta = false // narrow ways have no pointer fields to back this
+			if p.tags.Live(base+w) && e.delta() {
+				e.setFlag(flagDelta, false) // narrow ways have no pointer fields to back this
 				corrupted = true
 				break
 			}
@@ -120,8 +120,8 @@ func TestAuditCatchesNTStateOutsideMultiTarget(t *testing.T) {
 	corrupted := false
 	for i := range p.entries {
 		e := &p.entries[i]
-		if p.tags.Live(i) && e.delta {
-			e.ntValid = true
+		if p.tags.Live(i) && e.delta() {
+			e.setFlag(flagNTValid, true)
 			corrupted = true
 			break
 		}
@@ -143,7 +143,7 @@ func TestAuditCatchesDeltaWhenDisabled(t *testing.T) {
 	}
 	for i := range p.entries {
 		if p.tags.Live(i) {
-			p.entries[i].delta = true
+			p.entries[i].setFlag(flagDelta, true)
 			break
 		}
 	}

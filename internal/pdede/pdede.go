@@ -148,6 +148,13 @@ func nextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
+// The largest Page-BTB and Region-BTB a BTBM entry's pointers index:
+// entry.pagePtr is a uint16 and entry.regionPtr a uint8.
+const (
+	maxPageEntries   = 1 << 16
+	maxRegionEntries = 1 << 8
+)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -163,8 +170,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pdede: MultiTarget requires delta encoding")
 	case c.PageEntries <= 0 || c.PageWays <= 0:
 		return fmt.Errorf("pdede: page table %d/%d", c.PageEntries, c.PageWays)
+	case c.PageEntries > maxPageEntries:
+		return fmt.Errorf("pdede: PageEntries %d exceeds the %d a BTBM page pointer indexes",
+			c.PageEntries, maxPageEntries)
 	case c.RegionEntries <= 0:
 		return fmt.Errorf("pdede: RegionEntries %d", c.RegionEntries)
+	case c.RegionEntries > maxRegionEntries:
+		return fmt.Errorf("pdede: RegionEntries %d exceeds the %d a BTBM region pointer indexes",
+			c.RegionEntries, maxRegionEntries)
 	case c.NTLastRegisters < 0 || c.NTLastRegisters > 8:
 		return fmt.Errorf("pdede: NTLastRegisters %d outside [0,8]", c.NTLastRegisters)
 	}
@@ -229,17 +242,39 @@ type Stats struct {
 }
 
 // entry is a live BTBM way's payload; its tag and valid bit are the way's
-// tag word. The Sets×Ways array dominates the model's memory, at 16 bytes
-// per entry.
+// tag word. The Sets×Ways array dominates the model's memory, at 8 bytes
+// per entry: each pointer is as wide as the largest table Validate accepts
+// (maxPageEntries, maxRegionEntries), and the confidence counter, the
+// delta bit and the NT-valid bit share one byte.
 type entry struct {
-	pagePtr   int32
-	regionPtr int32
-	offset    uint16
+	pagePtr uint16
+	offset  uint16
 	// MultiTarget: the next taken same-page branch's offset (§4.3.1).
-	ntOffset uint16
-	conf     uint8
-	delta    bool
-	ntValid  bool
+	ntOffset  uint16
+	regionPtr uint8
+	flags     uint8 // confMask | flagDelta | flagNTValid
+}
+
+// The flags byte: a 2-bit saturating confidence counter in the low bits,
+// then the delta bit (target in the PC's own page) and the NT-valid bit
+// (ntOffset holds the next same-page target, MultiTarget only).
+const (
+	confMask    = 3
+	flagDelta   = 1 << 2
+	flagNTValid = 1 << 3
+)
+
+func (e *entry) conf() uint8   { return e.flags & confMask }
+func (e *entry) delta() bool   { return e.flags&flagDelta != 0 }
+func (e *entry) ntValid() bool { return e.flags&flagNTValid != 0 }
+
+// setFlag sets or clears one of flagDelta and flagNTValid.
+func (e *entry) setFlag(f uint8, on bool) {
+	if on {
+		e.flags |= f
+	} else {
+		e.flags &^= f
+	}
 }
 
 // New builds a PDede BTB.
@@ -310,11 +345,11 @@ func (p *PDede) Lookup(pc addr.VA) btb.Lookup {
 	result := btb.Lookup{}
 	if w >= 0 {
 		e := &p.entries[base+w]
-		if e.delta {
+		if e.delta() {
 			// Same-page: concatenate the PC's page with the stored offset;
 			// no Page/Region access, no extra cycle.
 			result = btb.Lookup{Hit: true, Target: pc.WithOffset(addr.PageOffset(e.offset))}
-			if e.ntValid {
+			if e.ntValid() {
 				armNext, armOffset = true, e.ntOffset
 			}
 		} else {
@@ -362,10 +397,10 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 		e := &p.entries[base+w]
 		p.repl.Touch(int(set), w)
 		if pred, ok := p.predictFrom(e, br.PC); ok && pred == br.Target {
-			if e.conf < 3 {
-				e.conf++
+			if e.conf() < 3 {
+				e.flags++ // the counter is the low bits
 			}
-			if !e.delta {
+			if !e.delta() {
 				p.pages.Touch(int(e.pagePtr))
 				p.regions.Touch(int(e.regionPtr))
 			}
@@ -378,28 +413,28 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 		// pointers in place. The update already has the full target, so this
 		// costs no extra hardware and avoids paying the confidence
 		// hysteresis for what is not a target change.
-		if !e.delta && !samePage && e.offset == uint16(br.Target.Offset()) {
+		if !e.delta() && !samePage && e.offset == uint16(br.Target.Offset()) {
 			pp, rp, ok := p.allocPartition(br.Target)
 			if ok {
 				p.Stats.StaleRepairs++
-				e.pagePtr = int32(pp)
-				e.regionPtr = int32(rp)
+				e.pagePtr = uint16(pp)
+				e.regionPtr = uint8(rp)
 				p.noteMultiTarget(br, set, w, samePage)
 				return
 			}
 		}
 		// Wrong or unreadable target: give confident entries a grace
 		// period (indirect branches flip between targets).
-		if e.conf > 0 {
-			e.conf--
+		if e.conf() > 0 {
+			e.flags-- // the counter is the low bits
 			p.noteMultiTarget(br, set, w, samePage)
 			return
 		}
 		p.Stats.Retrains++
 		if samePage {
-			e.delta = true
+			e.setFlag(flagDelta, true)
 			e.offset = uint16(br.Target.Offset())
-			e.ntValid = false
+			e.setFlag(flagNTValid, false)
 			p.noteMultiTarget(br, set, w, samePage)
 			return
 		}
@@ -414,11 +449,11 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 			if !ok {
 				return
 			}
-			e.delta = false
+			e.setFlag(flagDelta, false)
 			e.offset = uint16(br.Target.Offset())
-			e.pagePtr = int32(pp)
-			e.regionPtr = int32(rp)
-			e.ntValid = false
+			e.pagePtr = uint16(pp)
+			e.regionPtr = uint8(rp)
+			e.setFlag(flagNTValid, false)
 			p.noteMultiTarget(br, set, w, samePage)
 			return
 		}
@@ -439,12 +474,13 @@ func (p *PDede) Update(br isa.Branch, prior btb.Lookup) {
 		return
 	}
 	p.tags.Set(base+w, tag)
-	p.entries[base+w] = entry{
-		delta:     samePage,
+	e := entry{
 		offset:    uint16(br.Target.Offset()),
-		pagePtr:   int32(pp),
-		regionPtr: int32(rp),
+		pagePtr:   uint16(pp),
+		regionPtr: uint8(rp),
 	}
+	e.setFlag(flagDelta, samePage)
+	p.entries[base+w] = e
 	p.repl.Insert(int(set), w)
 	p.noteMultiTarget(br, set, w, samePage)
 }
@@ -464,7 +500,7 @@ func (p *PDede) probe(pc addr.VA) (set addr.SetIndex, tag addr.Tag, way int) {
 
 // predictFrom reconstructs the target an entry currently encodes.
 func (p *PDede) predictFrom(e *entry, pc addr.VA) (addr.VA, bool) {
-	if e.delta {
+	if e.delta() {
 		return pc.WithOffset(addr.PageOffset(e.offset)), true
 	}
 	pv, okP := p.pages.Get(int(e.pagePtr))
@@ -520,8 +556,8 @@ func (p *PDede) noteMultiTarget(br isa.Branch, set addr.SetIndex, way int, sameP
 				continue
 			}
 			prev := &p.entries[idx]
-			if p.tags.Live(idx) && prev.delta {
-				prev.ntValid = true
+			if p.tags.Live(idx) && prev.delta() {
+				prev.setFlag(flagNTValid, true)
 				prev.ntOffset = off
 			}
 		}

@@ -45,7 +45,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders the prometheus-style text exposition. Counters
 // come first in a fixed order, then the apply queue's depth, then
 // per-tenant gauges in sorted name order — the output is deterministic for
-// a given state, so scrapes and tests can diff it.
+// a given state, so scrapes and tests can diff it. The per-tenant lines
+// come from each tenant's published gauges, so a scrape takes no tenant
+// lock and never waits on a batch that is applying.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 	counters := []struct {
@@ -73,28 +75,53 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "pdede_serve_queue_depth %d\n", len(s.queue))
 
 	for _, t := range s.tenantsByName() {
-		t.mu.Lock()
+		g := t.gauges.Load()
 		pending := 0
-		if t.queued {
+		if g.pending {
 			pending = 1
 		}
-		fmt.Fprintf(&b, "pdede_serve_tenant_next_seq{tenant=%q} %d\n", t.name, t.nextSeq)
-		fmt.Fprintf(&b, "pdede_serve_tenant_journal_bytes{tenant=%q} %d\n", t.name, t.journal.Size())
+		fmt.Fprintf(&b, "pdede_serve_tenant_next_seq{tenant=%q} %d\n", t.name, g.nextSeq)
+		fmt.Fprintf(&b, "pdede_serve_tenant_journal_bytes{tenant=%q} %d\n", t.name, g.journalBytes)
 		fmt.Fprintf(&b, "pdede_serve_tenant_pending{tenant=%q} %d\n", t.name, pending)
-		if t.quarantined {
+		if g.quarantined {
 			fmt.Fprintf(&b, "pdede_serve_tenant_quarantined{tenant=%q} 1\n", t.name)
 		}
-		if t.sess != nil {
-			snap := t.sess.Snapshot()
-			fmt.Fprintf(&b, "pdede_serve_tenant_mpki{tenant=%q} %s\n",
-				t.name, formatFloat(snap.BTBMPKI()))
-			fmt.Fprintf(&b, "pdede_serve_tenant_ipc{tenant=%q} %s\n",
-				t.name, formatFloat(snap.IPC()))
+		if g.resident {
+			fmt.Fprintf(&b, "pdede_serve_tenant_mpki{tenant=%q} %s\n", t.name, formatFloat(g.mpki))
+			fmt.Fprintf(&b, "pdede_serve_tenant_ipc{tenant=%q} %s\n", t.name, formatFloat(g.ipc))
 		}
-		t.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	io.WriteString(w, b.String())
+}
+
+// gauges is the snapshot of one tenant's /metrics lines. Every path that
+// changes a printed field publishes a new one under t.mu (publishLocked),
+// so a scrape at rest prints the tenant's current state. While a batch
+// applies, a scrape prints the state before it, with the batch pending.
+type gauges struct {
+	nextSeq      uint64
+	journalBytes int
+	pending      bool
+	quarantined  bool
+	// resident marks a live session, whose mpki and ipc are printed.
+	resident  bool
+	mpki, ipc float64
+}
+
+// publishLocked replaces t's published gauges with its current state.
+func (t *tenant) publishLocked() {
+	g := &gauges{
+		nextSeq:      t.nextSeq,
+		journalBytes: t.journal.Size(),
+		pending:      t.queued,
+		quarantined:  t.quarantined,
+	}
+	if t.sess != nil {
+		snap := t.sess.Snapshot()
+		g.resident, g.mpki, g.ipc = true, snap.BTBMPKI(), snap.IPC()
+	}
+	t.gauges.Store(g)
 }
 
 func formatFloat(v float64) string {

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bufio"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -282,6 +283,7 @@ func (s *Server) tenantFor(name string, create bool) *tenant {
 	t := s.tenants[name]
 	if t == nil && (create || s.checkpointed(name)) {
 		t = &tenant{name: name, nextSeq: 1}
+		t.publishLocked() // t is not shared yet
 		s.tenants[name] = t
 	}
 	return t
@@ -401,6 +403,7 @@ func (s *Server) admit(t *tenant, seq uint64, recs []isa.Branch) (chan reply, re
 	select {
 	case s.queue <- job{t: t, seq: seq, recs: recs, reply: ch}:
 		t.queued = true
+		t.publishLocked()
 		return ch, reply{}
 	default:
 		s.met.backpressure.Add(1)
@@ -527,6 +530,7 @@ func (s *Server) shedOne(t *tenant) {
 	t.restored = false
 	t.lastAck = BatchAck{}
 	t.wantDigest = ""
+	t.publishLocked()
 	s.resident.Add(-1)
 	s.met.shed.Add(1)
 }
@@ -618,6 +622,11 @@ func (s *Server) tenantsByName() []*tenant {
 // from there.
 const bodyRecords = 256
 
+// bodyReaders recycles the buffered readers decodeBody reads bodies
+// through. trace.NewDecoder decodes from a *bufio.Reader of bufio's default
+// size as it is, so a body costs no 4 KiB buffer of its own.
+var bodyReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
 // decodeBody reads a whole PDT1 batch into memory, decoding batches of
 // records straight into the slice it returns. Any mid-stream decode
 // failure maps to the retryable "truncated" error: whether the client died,
@@ -629,7 +638,13 @@ func decodeBody(r io.Reader, max int) ([]isa.Branch, *reply) {
 		rep := errReply(http.StatusBadRequest, CodeTruncated, true, "decoding batch: %v", err)
 		return nil, &rep
 	}
-	d, err := trace.NewDecoder(r)
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil) // hold no reference to the body in the pool
+		bodyReaders.Put(br)
+	}()
+	d, err := trace.NewDecoder(br)
 	if err != nil {
 		return fail(err)
 	}

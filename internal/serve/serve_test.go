@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -412,8 +413,7 @@ func TestOneQueuedBatchPerTenant(t *testing.T) {
 	holder := async("holder", 1)
 	<-held
 	queued := async("x", 2)
-	// /metrics would wait on the held tenant's lock, so watch batch 3
-	// instead: it skips ahead until batch 2 is queued.
+	// Batch 3 skips ahead until batch 2 is queued.
 	rec := post("x", 3)
 	for deadline := time.Now().Add(10 * time.Second); rec.Code == http.StatusConflict &&
 		strings.Contains(rec.Body.String(), serve.CodeGap) && time.Now().Before(deadline); {
@@ -436,6 +436,83 @@ func TestOneQueuedBatchPerTenant(t *testing.T) {
 	if want, _ := offlineDigest(t, cfg, "x", recs[:3*batchRecs]); last.Digest != want {
 		t.Errorf("digest %s != offline %s", last.Digest, want)
 	}
+}
+
+// TestMetricsDuringApply: /metrics answers while the only worker is inside
+// a tenant's batch, which holds that tenant's lock for the whole simulator
+// step. The scrape lists both tenants, the applying one as it stood
+// before the batch with the batch pending; once the batch applies, its
+// gauges move on.
+func TestMetricsDuringApply(t *testing.T) {
+	const batchRecs = 50
+	held, release := make(chan struct{}), make(chan struct{})
+	cfg := testConfig(t)
+	cfg.Workers = 1
+	cfg.ApplyHook = func(tenant string, seq uint64) {
+		if tenant == "a" && seq == 2 {
+			close(held)
+			<-release
+		}
+	}
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var releaseOnce sync.Once
+	releaseWorker := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseWorker()
+
+	h := s.Handler()
+	recs := testRecords(t, 35, 2*batchRecs)
+	post := func(tenant string, seq int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		body := encodeBatch(t, tenant, recs[(seq-1)*batchRecs:seq*batchRecs])
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+			fmt.Sprintf("/v1/tenants/%s/batches/%d", tenant, seq), bytes.NewReader(body)))
+		return rec
+	}
+	metrics := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
+	gauge := func(body, name string, want float64) {
+		t.Helper()
+		if got, ok := tenantGauge(body, name, "a"); !ok || got != want {
+			t.Errorf("%s{tenant=\"a\"} = %v (present %v), want %v\n%s", name, got, ok, want, body)
+		}
+	}
+
+	for _, name := range []string{"b", "a"} {
+		if rec := post(name, 1); rec.Code != http.StatusOK {
+			t.Fatalf("%s batch 1: %d %s", name, rec.Code, rec.Body)
+		}
+	}
+	applying := make(chan *httptest.ResponseRecorder, 1)
+	go func() { applying <- post("a", 2) }()
+	<-held
+
+	scraped := make(chan string, 1)
+	go func() { scraped <- metrics() }()
+	select {
+	case body := <-scraped:
+		if got := tenantLabels(body, "pdede_serve_tenant_next_seq"); !slices.Equal(got, []string{"a", "b"}) {
+			t.Errorf("/metrics lists tenants %v, want [a b]\n%s", got, body)
+		}
+		gauge(body, "pdede_serve_tenant_next_seq", 2)
+		gauge(body, "pdede_serve_tenant_pending", 1)
+	case <-time.After(time.Second):
+		t.Fatal("/metrics did not answer within 1s while tenant a's batch applied")
+	}
+
+	releaseWorker()
+	if rec := <-applying; rec.Code != http.StatusOK {
+		t.Fatalf("a batch 2: %d %s", rec.Code, rec.Body)
+	}
+	body := metrics()
+	gauge(body, "pdede_serve_tenant_next_seq", 3)
+	gauge(body, "pdede_serve_tenant_pending", 0)
 }
 
 // TestDeadlineThenDuplicate: a slow apply misses the request deadline

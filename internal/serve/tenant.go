@@ -27,6 +27,9 @@ type tenant struct {
 	// touch is the logical-clock stamp of the last request; the shedder
 	// evicts the smallest stamps first.
 	touch atomic.Uint64
+	// gauges is what /metrics prints for the tenant, published under mu
+	// and read without it.
+	gauges atomic.Pointer[gauges]
 
 	mu sync.Mutex // guards the fields below; the *Locked methods need it held
 	// sess is the live simulator; nil when shed to disk or torn down
@@ -62,6 +65,7 @@ type tenant struct {
 func (t *tenant) apply(s *Server, seq uint64, recs []isa.Branch) reply {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	defer t.publishLocked()
 	t.queued = false
 	if rep := t.ensureSessionLocked(s); rep != nil {
 		return *rep
@@ -179,6 +183,7 @@ func (t *tenant) restoreLocked(s *Server) *reply {
 	t.lastAck = BatchAck{}
 	t.restored = true
 	s.met.restores.Add(1)
+	t.publishLocked()
 	return nil
 }
 
@@ -244,5 +249,6 @@ func (t *tenant) ensureSessionLocked(s *Server) *reply {
 		t.lastAck = t.ackLocked(t.nextSeq-1, 0)
 	}
 	s.resident.Add(1)
+	t.publishLocked()
 	return nil
 }

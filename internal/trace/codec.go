@@ -388,7 +388,8 @@ type Decoder struct {
 }
 
 // NewDecoder validates the header and returns a Decoder positioned at the
-// first record.
+// first record. It reads through a 4 KiB bufio.Reader, or through r as it
+// is when r is a *bufio.Reader of at least that size.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	br := &countingByteReader{br: bufio.NewReader(r)}
 	head := make([]byte, len(magic))
